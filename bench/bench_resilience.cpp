@@ -16,6 +16,9 @@
 // Storms are deterministic: the same --storm-seed reproduces the same
 // windows and the same in-run fault draws, so every row is replayable.
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +58,22 @@ struct ResArgs {
   std::exit(2);
 }
 
+/// Parses a decimal flag value in [0, max]; an empty value, a sign,
+/// trailing characters or an out-of-range value is a usage error.
+std::uint64_t ParseCount(const char* prog, const char* flag, const char* s,
+                         std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long n = std::strtoull(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+      n > max) {
+    std::fprintf(stderr, "%s: %s expects an integer in [0, %llu], got '%s'\n", prog, flag,
+                 static_cast<unsigned long long>(max), s);
+    UsageAndExit(prog);
+  }
+  return n;
+}
+
 ResArgs Parse(int argc, char** argv) {
   ResArgs a;
   for (int i = 1; i < argc; ++i) {
@@ -79,10 +98,9 @@ ResArgs Parse(int argc, char** argv) {
       }
       if (a.intensities.empty()) UsageAndExit(argv[0]);
     } else if (std::strncmp(arg, "--storm-seed=", 13) == 0) {
-      a.storm_seed = std::strtoull(arg + 13, nullptr, 10);
+      a.storm_seed = ParseCount(argv[0], "--storm-seed", arg + 13, UINT64_MAX);
     } else if (std::strncmp(arg, "--max-retries=", 14) == 0) {
-      a.max_retries = std::atoi(arg + 14);
-      if (a.max_retries < 0) UsageAndExit(argv[0]);
+      a.max_retries = static_cast<int>(ParseCount(argv[0], "--max-retries", arg + 14, INT_MAX));
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       a.json_path = arg + 7;
     } else {

@@ -12,36 +12,27 @@
 // this translation unit, sampled after a warmup pass so one-time pool/bucket
 // growth is excluded (steady-state behaviour is what the floor is about).
 //
-// The report also carries the PDES speedup curve: one full machine run of a
-// fig04 grid workload per --sim-threads value in {1, 2, 4, 8} under the
-// conservative-window sharded engine, plus "pdes_speedup_4t" (events/sec at
-// 4 sim threads over the sequential engine) for CI's --min-pdes-speedup
-// floor. --pdes-scale=off skips the curve (e.g. for quick local runs).
-//
-// Usage: bench_substrate [--events=N] [--out=FILE] [--pdes-scale=test|small|off]
+// Usage: bench_substrate [--events=N] [--out=FILE]
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "arch/config.hpp"
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
-#include "metrics/experiment.hpp"
-#include "ndc/machine.hpp"
 #include "noc/geometry.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/legacy_event_queue.hpp"
 #include "sim/rng.hpp"
-#include "workloads/workloads.hpp"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator: every heap allocation in the process bumps a
@@ -235,30 +226,10 @@ BenchResult NocBench(std::uint64_t packets) {
   return Measure("noc_stream", [&] { eq.RunUntilEmpty(); }, [&] { return eq.executed(); });
 }
 
-// --- Parallel simulation: conservative-window sharding ---------------------
-// One full machine run of the swim stencil (a fig04 grid workload) per
-// sim-thread count. Each run builds a fresh machine over the same lowered
-// traces; workload build + lowering stay off the clock. The sharded engine
-// retires a slightly different event count than the sequential one (a
-// different same-cycle tie-break schedule), so each row's events/sec uses
-// its own engine's count.
-
-BenchResult PdesBench(const char* name, int sim_threads, workloads::Scale scale) {
-  arch::ArchConfig cfg;
-  metrics::Experiment e("swim", scale, cfg, 1);
-  const std::vector<arch::Trace>& traces = e.BaselineTraces();
-  runtime::MachineOptions opts;
-  opts.sim_threads = sim_threads;
-  runtime::Machine m(cfg, opts);
-  m.LoadProgram(traces);
-  std::uint64_t events = 0;
-  return Measure(name, [&] { events = m.Run().events; }, [&] { return events; });
-}
-
 // ---------------------------------------------------------------------------
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
-               double speedup, double pdes_speedup_4t, std::uint64_t events_target) {
+               double speedup, std::uint64_t events_target) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_substrate: cannot write %s\n", path.c_str());
@@ -267,13 +238,7 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
   std::fprintf(f, "{\n  \"benchmark\": \"bench_substrate\",\n");
   std::fprintf(f, "  \"events_target\": %llu,\n",
                static_cast<unsigned long long>(events_target));
-  // Lets the perf gate tell "the sharded engine is slow" apart from "this
-  // box cannot run 4 shard workers in parallel at all".
-  std::fprintf(f, "  \"hw_threads\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"speedup_vs_legacy\": %.3f,\n", speedup);
-  if (pdes_speedup_4t > 0.0) {
-    std::fprintf(f, "  \"pdes_speedup_4t\": %.3f,\n", pdes_speedup_4t);
-  }
   std::fprintf(f, "  \"benches\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchResult& r = rows[i];
@@ -290,31 +255,33 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
   std::fclose(f);
 }
 
+[[noreturn]] void UsageAndExit(const char* prog) {
+  std::fprintf(stderr, "usage: %s [--events=N] [--out=FILE]\n", prog);
+  std::exit(2);
+}
+
 int Main(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
   std::string out = "BENCH_substrate.json";
-  bool pdes = true;
-  workloads::Scale pdes_scale = workloads::Scale::kSmall;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--events=", 9) == 0) {
-      events = std::strtoull(arg + 9, nullptr, 10);
-      if (events == 0) {
-        std::fprintf(stderr, "bench_substrate: --events expects a positive integer\n");
-        return 2;
+      const char* s = arg + 9;
+      char* end = nullptr;
+      errno = 0;
+      unsigned long long n = std::strtoull(s, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+          n == 0) {
+        std::fprintf(stderr, "bench_substrate: --events expects a positive integer, got '%s'\n",
+                     s);
+        UsageAndExit(argv[0]);
       }
+      events = n;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out = arg + 6;
-    } else if (std::strcmp(arg, "--pdes-scale=test") == 0) {
-      pdes_scale = workloads::Scale::kTest;
-    } else if (std::strcmp(arg, "--pdes-scale=small") == 0) {
-      pdes_scale = workloads::Scale::kSmall;
-    } else if (std::strcmp(arg, "--pdes-scale=off") == 0) {
-      pdes = false;
     } else {
-      std::fprintf(stderr, "usage: %s [--events=N] [--out=FILE] [--pdes-scale=test|small|off]\n",
-                   argv[0]);
-      return 2;
+      std::fprintf(stderr, "bench_substrate: unknown argument '%s'\n", arg);
+      UsageAndExit(argv[0]);
     }
   }
 
@@ -329,20 +296,6 @@ int Main(int argc, char** argv) {
                        ? rows[0].events_per_sec() / rows[1].events_per_sec()
                        : 0.0;
 
-  double pdes_speedup_4t = 0.0;
-  if (pdes) {
-    double eps_1t = 0.0, eps_4t = 0.0;
-    PdesBench("pdes_swim_warmup", 1, pdes_scale);  // page-in + pool growth
-    for (int t : {1, 2, 4, 8}) {
-      std::string name = "pdes_swim_" + std::to_string(t) + "t";
-      BenchResult r = PdesBench(name.c_str(), t, pdes_scale);
-      if (t == 1) eps_1t = r.events_per_sec();
-      if (t == 4) eps_4t = r.events_per_sec();
-      rows.push_back(r);
-    }
-    if (eps_1t > 0) pdes_speedup_4t = eps_4t / eps_1t;
-  }
-
   std::printf("# bench_substrate  (events=%llu)\n",
               static_cast<unsigned long long>(events));
   std::printf("%-24s %14s %12s %12s %16s\n", "bench", "events", "Mev/s", "ns/event",
@@ -353,8 +306,7 @@ int Main(int argc, char** argv) {
                 r.ns_per_event(), r.allocs_per_event());
   }
   std::printf("speedup_vs_legacy = %.2fx\n", speedup);
-  if (pdes) std::printf("pdes_speedup_4t = %.2fx\n", pdes_speedup_4t);
-  WriteJson(out, rows, speedup, pdes_speedup_4t, events);
+  WriteJson(out, rows, speedup, events);
   return 0;
 }
 

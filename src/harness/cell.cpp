@@ -87,12 +87,6 @@ std::string CellSpec::CanonicalString() const {
   if (!faults.Empty()) {
     out += "faults{" + faults.CanonicalString() + "};";
   }
-  // Appended only for parallel simulation: sequential cells (and all
-  // pre-PDES cache entries) keep their historical key, and sharded results
-  // — a different same-cycle tie-break schedule — get keys of their own.
-  if (sim_threads != 1) {
-    AppendField(out, "simthreads", static_cast<std::uint64_t>(sim_threads));
-  }
   return out;
 }
 
@@ -228,7 +222,6 @@ metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
 
 CellResult RunCell(const CellSpec& spec) {
   metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
-  exp.set_sim_threads(spec.sim_threads);
   if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 
@@ -367,7 +360,6 @@ json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
   obs::Observability ob(oo);
   metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
   exp.set_obs(&ob);
-  exp.set_sim_threads(spec.sim_threads);
   if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 

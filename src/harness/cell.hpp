@@ -51,13 +51,6 @@ struct CellSpec {
   /// fault-free). Folded into the cache key only when non-empty, so every
   /// pre-fault cache entry keeps its key.
   fault::FaultSchedule faults;
-  /// Simulation-thread count the cell's runs execute with. 1 (the default)
-  /// is the sequential engine; >= 2 enables conservative-window sharding on
-  /// eligible runs. Folded into the cache key only when != 1 — the sharded
-  /// engine is a different same-cycle tie-break schedule, so its numbers
-  /// must never be served from (or poison) a sequential cell's cache entry,
-  /// while every existing entry keeps its historical key.
-  int sim_threads = 1;
   /// Display label for configuration variants ("" = Table-1 defaults).
   /// Deliberately NOT part of the cache key: two figures probing the same
   /// resolved configuration under different labels share one cache entry.

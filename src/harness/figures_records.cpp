@@ -46,7 +46,7 @@ SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
   s.figure = figure;
   s.jobs = opt.jobs;
   s.cells = cells;
-  s.sim_invocations = cells;  // record figures bypass the scalar cache
+  s.cells_simulated = cells;  // record figures bypass the scalar cache
   s.elapsed_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)

@@ -22,7 +22,7 @@ json::Value SweepSummary::ToJson() const {
   v.obj["jobs"] = json::Value::Int(static_cast<std::uint64_t>(jobs));
   v.obj["cells"] = json::Value::Int(cells);
   v.obj["cache_hits"] = json::Value::Int(cache_hits);
-  v.obj["sim_invocations"] = json::Value::Int(sim_invocations);
+  v.obj["cells_simulated"] = json::Value::Int(cells_simulated);
   v.obj["cache_load_errors"] = json::Value::Int(cache_load_errors);
   v.obj["elapsed_ms"] = json::Value::Int(elapsed_ms);
   if (!phase_ms.empty()) {
@@ -124,7 +124,7 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
       misses.push_back(i);
     }
   }
-  out.summary.sim_invocations = misses.size();
+  out.summary.cells_simulated = misses.size();
 
   {
     std::unique_ptr<ProgressReporter> progress;

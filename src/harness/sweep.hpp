@@ -34,7 +34,7 @@ struct SweepSummary {
   std::uint64_t cache_hits = 0;
   /// Cells actually simulated this run (== cells - cache_hits). A warm
   /// re-run of an already-measured grid reports 0 here.
-  std::uint64_t sim_invocations = 0;
+  std::uint64_t cells_simulated = 0;
   std::uint64_t cache_load_errors = 0;
   std::uint64_t elapsed_ms = 0;
   /// Host wall-clock per phase (ms) accrued during this sweep, keyed by

@@ -63,7 +63,6 @@ runtime::RunResult Experiment::RunTraces(const std::vector<arch::Trace>& traces,
     inj = std::make_unique<fault::FaultInjector>(*faults_);
     opts.faults = inj.get();
   }
-  opts.sim_threads = sim_threads_;
   runtime::Machine m(cfg_, opts);
   m.LoadProgram(traces);
   runtime::RunResult r = m.Run();
@@ -185,7 +184,6 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
   runtime::MachineOptions mopts;
   mopts.obs = obs_;
-  mopts.sim_threads = sim_threads_;
   std::unique_ptr<fault::FaultInjector> inj;
   if (faults_ != nullptr && !faults_->Empty()) {
     inj = std::make_unique<fault::FaultInjector>(*faults_);

@@ -79,13 +79,6 @@ class Experiment {
   /// schedule) detaches.
   void set_faults(const fault::FaultSchedule* s) { faults_ = s; }
 
-  /// Simulation-thread count for every subsequent run (measured *and*
-  /// cached profile runs — RunTraces applies it centrally). 1 (the
-  /// default) keeps the sequential engine; >= 2 enables conservative-window
-  /// sharding on eligible runs (ineligible runs silently degrade, see
-  /// runtime::MachineOptions::sim_threads).
-  void set_sim_threads(int n) { sim_threads_ = n; }
-
   /// Fault report for the most recent faulted measured run.
   bool have_fault_report() const { return have_fault_report_; }
   const fault::ConservationInputs& last_conservation() const { return last_conservation_; }
@@ -106,7 +99,6 @@ class Experiment {
   bool have_observe_ = false;
   runtime::RunResult observe_;
   obs::Observability* obs_ = nullptr;
-  int sim_threads_ = 1;
   const fault::FaultSchedule* faults_ = nullptr;
   bool have_fault_report_ = false;
   fault::ConservationInputs last_conservation_;

@@ -1,0 +1,13 @@
+# Helper for the *_rejects_malformed_* ctests: runs BIN with one argument ARG
+# and passes iff it exits 2 and prints its usage text.
+execute_process(
+  COMMAND "${BIN}" "${ARG}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "${BIN} ${ARG}: expected exit code 2, got ${rc}")
+endif()
+if(NOT "${out}${err}" MATCHES "usage: ")
+  message(FATAL_ERROR "${BIN} ${ARG}: no usage text in output:\n${out}${err}")
+endif()

@@ -22,6 +22,9 @@
 //            [--max-lead=N] [--control-register=MASK] [--parallelism]
 //            [--sarif=FILE]
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +66,24 @@ void PrintUsage(std::FILE* out) {
                "modes: baseline algorithm-1 algorithm-2 coarse-grain all\n");
 }
 
+/// Parses a decimal flag value in [0, max] into `out`; false (after the
+/// usage text) on an empty value, a sign, trailing characters or an
+/// out-of-range value.
+bool ParseCount(const char* flag, const char* s, std::uint64_t max, std::uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long n = std::strtoull(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+      n > max) {
+    std::fprintf(stderr, "ndc-lint: %s expects an integer in [0, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(max), s);
+    PrintUsage(stderr);
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, LintArgs* a) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -94,9 +115,13 @@ bool ParseArgs(int argc, char** argv, LintArgs* a) {
     } else if (std::strcmp(arg, "--fail-on=error") == 0) {
       a->fail_on_warning = false;
     } else if (std::strncmp(arg, "--max-lead=", 11) == 0) {
-      a->max_lead = std::atoll(arg + 11);
+      std::uint64_t n = 0;
+      if (!ParseCount("--max-lead", arg + 11, INT64_MAX, &n)) return false;
+      a->max_lead = static_cast<ndc::ir::Int>(n);
     } else if (std::strncmp(arg, "--control-register=", 19) == 0) {
-      a->control_register = std::atoi(arg + 19);
+      std::uint64_t n = 0;
+      if (!ParseCount("--control-register", arg + 19, ndc::arch::kAllLocs, &n)) return false;
+      a->control_register = static_cast<int>(n);
     } else {
       std::fprintf(stderr, "ndc-lint: unknown argument '%s'\n", arg);
       PrintUsage(stderr);

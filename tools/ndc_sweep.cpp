@@ -25,16 +25,8 @@
 // to unclassified runs. --classify-window overrides the window width.
 //
 // Usage:
-// --sim-threads=N (N >= 2) runs every grid cell's simulations under the
-// conservative-window sharded engine with N worker threads (eligible
-// baseline runs shard; policy/sync/fault/observed runs degrade to the
-// sequential engine). Results are deterministic for any N >= 2 but are a
-// different same-cycle tie-break schedule than the default N=1 sequential
-// engine, so sharded cells get distinct cache keys.
-//
-// Usage:
 //   ndc-sweep --figure=NAME|all [--scale=test|small|full] [--bench=NAME]
-//             [--jobs=N] [--sim-threads=N] [--no-cache] [--cache-dir=DIR]
+//             [--jobs=N] [--no-cache] [--cache-dir=DIR]
 //             [--progress]
 //             [--export-jsonl=FILE] [--export-csv=FILE] [--export-obs=DIR]
 //             [--classify] [--classify-window=CYCLES]
@@ -71,8 +63,7 @@ struct SweepArgs {
 [[noreturn]] void UsageAndExit() {
   std::fprintf(stderr,
                "usage: ndc-sweep --figure=NAME|all [--scale=test|small|full]\n"
-               "         [--bench=NAME] [--jobs=N] [--sim-threads=N] [--no-cache]\n"
-               "         [--cache-dir=DIR]\n"
+               "         [--bench=NAME] [--jobs=N] [--no-cache] [--cache-dir=DIR]\n"
                "         [--progress] [--export-jsonl=FILE] [--export-csv=FILE]\n"
                "         [--export-obs=DIR] [--classify] [--classify-window=CYCLES]\n"
                "         [--summary=FILE] [--require-all-hits]\n"
@@ -140,16 +131,6 @@ SweepArgs Parse(int argc, char** argv) {
         UsageAndExit();
       }
       a.opt.jobs = static_cast<int>(n);
-    } else if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(arg + 14, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
-        std::fprintf(stderr,
-                     "ndc-sweep: --sim-threads expects a positive integer, got '%s'\n",
-                     arg + 14);
-        UsageAndExit();
-      }
-      a.opt.sim_threads = static_cast<int>(n);
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       a.opt.use_cache = false;
     } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
@@ -232,12 +213,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::uint64_t total_sims = 0;
+  std::uint64_t cells_simulated = 0;
   auto run_one = [&](const std::string& name, const FigureOptions& opt) -> int {
     SweepSummary summary;
     int rc = ndc::harness::RunFigure(name, opt, &summary);
     if (rc != 0) return rc;
-    total_sims += summary.sim_invocations;
+    cells_simulated += summary.cells_simulated;
     std::fprintf(stderr, "%s\n", ndc::harness::json::Dump(summary.ToJson()).c_str());
     if (!args.summary_path.empty() &&
         !ndc::harness::AppendSummary(summary, args.summary_path)) {
@@ -264,11 +245,11 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (args.require_all_hits && total_sims > 0) {
+  if (args.require_all_hits && cells_simulated > 0) {
     std::fprintf(stderr,
                  "ndc-sweep: --require-all-hits failed: %llu cells were simulated "
                  "(expected a fully warm cache)\n",
-                 static_cast<unsigned long long>(total_sims));
+                 static_cast<unsigned long long>(cells_simulated));
     return 3;
   }
   return 0;
