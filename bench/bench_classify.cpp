@@ -28,11 +28,12 @@
 #include "bench_common.hpp"
 #include "compiler/codegen.hpp"
 #include "harness/cell.hpp"
+#include "json/json.hpp"
 #include "workloads/sharded.hpp"
 
 namespace {
 
-namespace json = ndc::harness::json;
+namespace json = ndc::json;
 
 const char* const kClassifyWorkloads[] = {"shard.stream", "shard.reduce.atomic",
                                           "shard.stencil.wave"};
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
 
   std::printf("# Bottleneck label vs active shard count  (scale=%s, window=%llu, "
               "%d-node machine)\n",
-              ndc::benchutil::ScaleName(args.scale),
+              ndc::harness::ScaleName(args.scale),
               static_cast<unsigned long long>(args.window), cfg.num_nodes());
   std::printf("%-20s %6s %10s %-12s  %s\n", "workload", "cores", "makespan", "label",
               "signals");
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
   if (!args.json_path.empty()) {
     json::Value report = json::Value::Object();
     report.obj["bench"] = json::Value::Str("classify");
-    report.obj["scale"] = json::Value::Str(ndc::benchutil::ScaleName(args.scale));
+    report.obj["scale"] = json::Value::Str(ndc::harness::ScaleName(args.scale));
     report.obj["window"] = json::Value::Int(args.window);
     report.obj["machine_nodes"] =
         json::Value::Int(static_cast<std::uint64_t>(cfg.num_nodes()));

@@ -1,18 +1,18 @@
 #pragma once
 
-// Shared helpers for the figure-regeneration bench binaries.
+// Shared argument parsing for the diagnostic bench binaries. Figures and
+// tables are rendered by `ndc-sweep --figure=NAME`, not from here.
 //
-// Every binary goes through benchutil::Parse, which is strict: an unknown
-// or misspelled argument (e.g. --scale=ful) prints a usage message and
-// exits non-zero instead of being silently ignored.
+// benchutil::Parse is strict: an unknown or misspelled argument (e.g.
+// --scale=ful) prints a usage message and exits non-zero instead of being
+// silently ignored.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
-#include "harness/figures.hpp"
+#include "harness/cell.hpp"
 #include "metrics/experiment.hpp"
 
 namespace ndc::benchutil {
@@ -25,24 +25,13 @@ struct ParseSpec {
 struct Args {
   workloads::Scale scale = workloads::Scale::kSmall;
   std::string only;        ///< run a single benchmark when non-empty
-  int jobs = 1;            ///< sweep worker threads (--jobs=N)
-  bool use_cache = true;   ///< --no-cache disables the on-disk result cache
-  std::string cache_dir = ".ndc-cache";
-  bool progress = false;   ///< --progress: live progress/ETA lines on stderr
-  std::string export_jsonl;
-  std::string export_csv;
-  std::string export_obs;  ///< per-cell obs-summary directory ("" = off)
   std::string positional;  ///< leading positional name (ParseSpec::positional_name)
   bool all = false;        ///< --all (ParseSpec::allow_all)
 };
 
 [[noreturn]] inline void UsageAndExit(const char* prog, const ParseSpec& spec) {
-  std::fprintf(stderr,
-               "usage: %s%s%s [--scale=test|small|full] [--bench=NAME] [--jobs=N]\n"
-               "         [--no-cache] [--cache-dir=DIR] [--progress]\n"
-               "         [--export-jsonl=FILE] [--export-csv=FILE] [--export-obs=DIR]\n",
-               prog, spec.positional_name ? " [WORKLOAD]" : "",
-               spec.allow_all ? " [--all]" : "");
+  std::fprintf(stderr, "usage: %s%s%s [--scale=test|small|full] [--bench=NAME]\n", prog,
+               spec.positional_name ? " [WORKLOAD]" : "", spec.allow_all ? " [--all]" : "");
   std::exit(2);
 }
 
@@ -66,27 +55,6 @@ inline Args Parse(int argc, char** argv, workloads::Scale default_scale,
       UsageAndExit(argv[0], spec);
     } else if (std::strncmp(arg, "--bench=", 8) == 0) {
       a.only = arg + 8;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(arg + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
-        std::fprintf(stderr, "%s: --jobs expects a positive integer, got '%s'\n",
-                     argv[0], arg + 7);
-        UsageAndExit(argv[0], spec);
-      }
-      a.jobs = static_cast<int>(n);
-    } else if (std::strcmp(arg, "--no-cache") == 0) {
-      a.use_cache = false;
-    } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
-      a.cache_dir = arg + 12;
-    } else if (std::strcmp(arg, "--progress") == 0) {
-      a.progress = true;
-    } else if (std::strncmp(arg, "--export-jsonl=", 15) == 0) {
-      a.export_jsonl = arg + 15;
-    } else if (std::strncmp(arg, "--export-csv=", 13) == 0) {
-      a.export_csv = arg + 13;
-    } else if (std::strncmp(arg, "--export-obs=", 13) == 0) {
-      a.export_obs = arg + 13;
     } else if (spec.allow_all && std::strcmp(arg, "--all") == 0) {
       a.all = true;
     } else {
@@ -95,42 +63,6 @@ inline Args Parse(int argc, char** argv, workloads::Scale default_scale,
     }
   }
   return a;
-}
-
-inline harness::FigureOptions ToFigureOptions(const Args& a) {
-  harness::FigureOptions opt;
-  opt.scale = a.scale;
-  opt.only = a.only;
-  opt.jobs = a.jobs;
-  opt.use_cache = a.use_cache;
-  opt.cache_dir = a.cache_dir;
-  opt.progress = a.progress;
-  opt.export_jsonl = a.export_jsonl;
-  opt.export_csv = a.export_csv;
-  opt.export_obs = a.export_obs;
-  return opt;
-}
-
-/// Runs one registered harness figure with the parsed options — the whole
-/// main() of a ported figure binary.
-inline int RunFigureMain(const char* figure, int argc, char** argv,
-                         workloads::Scale default_scale) {
-  Args args = Parse(argc, argv, default_scale);
-  return harness::RunFigure(figure, ToFigureOptions(args));
-}
-
-inline const char* ScaleName(workloads::Scale s) { return harness::ScaleName(s); }
-
-template <typename Fn>
-void ForEachBenchmark(const Args& a, Fn&& fn) {
-  for (const std::string& name : workloads::BenchmarkNames()) {
-    if (!a.only.empty() && name != a.only) continue;
-    fn(name);
-  }
-}
-
-inline void PrintHeader(const char* what, const Args& a) {
-  std::printf("# %s  (scale=%s, Table-1 configuration)\n", what, ScaleName(a.scale));
 }
 
 }  // namespace ndc::benchutil

@@ -28,17 +28,17 @@
 
 #include "bench_common.hpp"
 #include "fault/fault.hpp"
+#include "json/json.hpp"
 
 namespace {
 
-using ndc::benchutil::Args;
 using ndc::fault::CheckConservation;
 using ndc::fault::ConservationReport;
 using ndc::fault::FaultSchedule;
 using ndc::fault::InjectionCounts;
 using ndc::fault::MakeStorm;
 using ndc::fault::StormSpec;
-namespace json = ndc::harness::json;
+namespace json = ndc::json;
 
 struct ResArgs {
   ndc::workloads::Scale scale = ndc::workloads::Scale::kSmall;
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
 
   std::printf("# Resilience degradation curve: %s under synthetic fault storms  "
               "(scale=%s, storm-seed=%llu, max-retries=%d)\n",
-              ndc::metrics::SchemeName(scheme), ndc::benchutil::ScaleName(args.scale),
+              ndc::metrics::SchemeName(scheme), ndc::harness::ScaleName(args.scale),
               static_cast<unsigned long long>(args.storm_seed), args.max_retries);
   std::printf("%-10s %9s %10s %9s %8s %8s %8s %7s %7s %7s  %s\n", "benchmark",
               "intensity", "makespan", "slowdown", "offloads", "degraded", "retries",
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
     json::Value report = json::Value::Object();
     report.obj["bench"] = json::Value::Str("resilience");
     report.obj["scheme"] = json::Value::Str(ndc::metrics::SchemeName(scheme));
-    report.obj["scale"] = json::Value::Str(ndc::benchutil::ScaleName(args.scale));
+    report.obj["scale"] = json::Value::Str(ndc::harness::ScaleName(args.scale));
     report.obj["storm_seed"] = json::Value::Int(args.storm_seed);
     report.obj["max_retries"] = json::Value::Int(static_cast<std::uint64_t>(args.max_retries));
     report.obj["rows"] = rows;

@@ -30,13 +30,14 @@
 #include "bench_common.hpp"
 #include "compiler/codegen.hpp"
 #include "fault/fault.hpp"
+#include "json/json.hpp"
 #include "workloads/sharded.hpp"
 
 namespace {
 
 using ndc::fault::CheckConservation;
 using ndc::fault::ConservationReport;
-namespace json = ndc::harness::json;
+namespace json = ndc::json;
 
 const char* const kSyncWorkloads[] = {"shard.reduce.atomic", "shard.reduce.lock",
                                       "shard.stencil.wave"};
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
 
   std::printf("# Sync contention curve: stall/queue-wait vs active shard count  "
               "(scale=%s, %d-node machine)\n",
-              ndc::benchutil::ScaleName(args.scale), cfg.num_nodes());
+              ndc::harness::ScaleName(args.scale), cfg.num_nodes());
   std::printf("%-20s %6s %10s %9s %10s %9s %10s %9s  %s\n", "workload", "cores",
               "makespan", "sync.ops", "stall", "stall/op", "qwait", "qwait/op", "ok");
 
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
   if (!args.json_path.empty()) {
     json::Value report = json::Value::Object();
     report.obj["bench"] = json::Value::Str("sync");
-    report.obj["scale"] = json::Value::Str(ndc::benchutil::ScaleName(args.scale));
+    report.obj["scale"] = json::Value::Str(ndc::harness::ScaleName(args.scale));
     report.obj["machine_nodes"] = json::Value::Int(static_cast<std::uint64_t>(cfg.num_nodes()));
     report.obj["rows"] = rows;
     std::ofstream f(args.json_path);

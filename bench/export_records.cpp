@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   });
   std::fflush(stdout);
   std::fprintf(stderr, "exported %zu of %zu records for %s (scale=%s)%s\n", printed,
-               obs.records->TotalInstances(), name.c_str(), benchutil::ScaleName(args.scale),
+               obs.records->TotalInstances(), name.c_str(), harness::ScaleName(args.scale),
                all ? "" : " — pass --all for the full dump");
   return 0;
 }

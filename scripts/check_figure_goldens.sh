@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Bit-identity gate for the simulation substrate: every figure/table binary
-# must print byte-for-byte the stdout recorded in tests/goldens/ (captured
-# from the pre-calendar-queue seed tree at --scale=test). Any diff means a
-# substrate change altered simulated behaviour, not just its speed.
+# Bit-identity gate for the simulation substrate: every figure/table, as
+# rendered by `ndc-sweep --figure=NAME`, must print byte-for-byte the stdout
+# recorded in tests/goldens/ (captured from the pre-calendar-queue seed tree
+# at --scale=test). Any diff means a substrate change altered simulated
+# behaviour, not just its speed.
 #
 # Usage: check_figure_goldens.sh NDC_SWEEP [GOLDEN_DIR] [JOBS]
 # Env:   NDC_SWEEP_EXTRA_ARGS — extra flags appended to every ndc-sweep

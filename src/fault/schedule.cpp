@@ -1,204 +1,19 @@
 #include "fault/schedule.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "json/json.hpp"
 #include "sim/rng.hpp"
 
 namespace ndc::fault {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader, scoped to the schedule grammar (objects, arrays,
-// numbers, strings, bool). src/fault cannot use ndc::harness::json — the
-// harness links against this module — so the few dozen lines live here.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  // std::map keeps key order stable for error messages; schedules are tiny.
-  std::map<std::string, JsonValue> obj;
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  bool Parse(JsonValue* out, std::string* err) {
-    SkipWs();
-    if (!ParseValue(out)) {
-      if (err != nullptr) *err = err_;
-      return false;
-    }
-    SkipWs();
-    if (pos_ != s_.size()) {
-      if (err != nullptr) *err = "trailing characters after JSON value";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool Fail(const std::string& msg) {
-    err_ = msg + " (at offset " + std::to_string(pos_) + ")";
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= s_.size()) return Fail("unexpected end of input");
-    char c = s_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') return ParseString(out);
-    if (c == 't' || c == 'f') return ParseBool(out);
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      return ParseNumber(out);
-    }
-    return Fail(std::string("unexpected character '") + c + "'");
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      JsonValue key;
-      if (pos_ >= s_.size() || s_[pos_] != '"') return Fail("expected object key");
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return Fail("expected ':'");
-      ++pos_;
-      JsonValue val;
-      if (!ParseValue(&val)) return false;
-      if (!out->obj.emplace(key.str, std::move(val)).second) {
-        return Fail("duplicate key \"" + key.str + "\"");
-      }
-      SkipWs();
-      if (pos_ >= s_.size()) return Fail("unterminated object");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue val;
-      if (!ParseValue(&val)) return false;
-      out->arr.push_back(std::move(val));
-      SkipWs();
-      if (pos_ >= s_.size()) return Fail("unterminated array");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool ParseString(JsonValue* out) {
-    out->type = JsonValue::Type::kString;
-    ++pos_;  // '"'
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return Fail("unterminated escape");
-        char e = s_[pos_++];
-        switch (e) {
-          case '"': out->str.push_back('"'); break;
-          case '\\': out->str.push_back('\\'); break;
-          case '/': out->str.push_back('/'); break;
-          case 'n': out->str.push_back('\n'); break;
-          case 't': out->str.push_back('\t'); break;
-          default: return Fail("unsupported escape in string");
-        }
-      } else {
-        out->str.push_back(c);
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseBool(JsonValue* out) {
-    out->type = JsonValue::Type::kBool;
-    if (s_.compare(pos_, 4, "true") == 0) {
-      out->b = true;
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      out->b = false;
-      pos_ += 5;
-      return true;
-    }
-    return Fail("expected 'true' or 'false'");
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    out->type = JsonValue::Type::kNumber;
-    std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    try {
-      out->num = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("malformed number");
-    }
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::string err_;
-};
 
 // ---------------------------------------------------------------------------
 // Field extraction with strict unknown-key rejection: a typo'd key must not
@@ -207,62 +22,68 @@ class JsonReader {
 
 class FieldReader {
  public:
-  FieldReader(const JsonValue& obj, std::string where, std::string* err)
+  FieldReader(const json::Value& obj, std::string where, std::string* err)
       : obj_(obj), where_(std::move(where)), err_(err) {}
 
-  bool Int(const char* key, std::int64_t* out) {
-    const JsonValue* v = Take(key);
+  /// Every signed schedule field (link, mc, bank, max_retries) is an int.
+  bool Int(const char* key, int* out) {
+    const json::Value* v = Take(key);
     if (v == nullptr) return !failed_;
-    if (v->type != JsonValue::Type::kNumber ||
-        v->num != std::floor(v->num)) {
-      return Fail(std::string(key) + " must be an integer");
+    if (!IsIntegral(*v)) return Fail(std::string(key) + " must be an integer");
+    double d = v->AsDouble();
+    if (d < std::numeric_limits<int>::min() || d > std::numeric_limits<int>::max()) {
+      return Fail(std::string(key) + " is out of range");
     }
-    *out = static_cast<std::int64_t>(v->num);
+    *out = static_cast<int>(d);
     return true;
   }
 
   bool Uint(const char* key, std::uint64_t* out) {
-    std::int64_t v = static_cast<std::int64_t>(*out);
-    if (!Int(key, &v)) return false;
-    if (v < 0) return Fail(std::string(key) + " must be non-negative");
-    *out = static_cast<std::uint64_t>(v);
+    const json::Value* v = Take(key);
+    if (v == nullptr) return !failed_;
+    if (!IsIntegral(*v)) return Fail(std::string(key) + " must be an integer");
+    if (v->kind == json::Value::Kind::kDouble) {
+      if (v->num < 0) return Fail(std::string(key) + " must be non-negative");
+      if (v->num >= 0x1p64) return Fail(std::string(key) + " is out of range");
+    }
+    *out = v->AsU64();
     return true;
   }
 
   bool Double(const char* key, double* out) {
-    const JsonValue* v = Take(key);
+    const json::Value* v = Take(key);
     if (v == nullptr) return !failed_;
-    if (v->type != JsonValue::Type::kNumber) {
+    if (v->kind != json::Value::Kind::kInt && v->kind != json::Value::Kind::kDouble) {
       return Fail(std::string(key) + " must be a number");
     }
-    *out = v->num;
+    *out = v->AsDouble();
     return true;
   }
 
   bool String(const char* key, std::string* out) {
-    const JsonValue* v = Take(key);
+    const json::Value* v = Take(key);
     if (v == nullptr) return !failed_;
-    if (v->type != JsonValue::Type::kString) {
+    if (v->kind != json::Value::Kind::kString) {
       return Fail(std::string(key) + " must be a string");
     }
     *out = v->str;
     return true;
   }
 
-  const JsonValue* Object(const char* key) {
-    const JsonValue* v = Take(key);
+  const json::Value* Object(const char* key) {
+    const json::Value* v = Take(key);
     if (v == nullptr) return nullptr;
-    if (v->type != JsonValue::Type::kObject) {
+    if (!v->is_object()) {
       Fail(std::string(key) + " must be an object");
       return nullptr;
     }
     return v;
   }
 
-  const JsonValue* Array(const char* key) {
-    const JsonValue* v = Take(key);
+  const json::Value* Array(const char* key) {
+    const json::Value* v = Take(key);
     if (v == nullptr) return nullptr;
-    if (v->type != JsonValue::Type::kArray) {
+    if (!v->is_array()) {
       Fail(std::string(key) + " must be an array");
       return nullptr;
     }
@@ -287,14 +108,20 @@ class FieldReader {
   }
 
  private:
-  const JsonValue* Take(const char* key) {
-    if (failed_) return nullptr;
-    taken_.insert(key);
-    auto it = obj_.obj.find(key);
-    return it == obj_.obj.end() ? nullptr : &it->second;
+  // The parser reads non-negative integer tokens as kInt and everything
+  // else as kDouble, so "-3" and "1e3" are integers only by value.
+  static bool IsIntegral(const json::Value& v) {
+    return v.kind == json::Value::Kind::kInt ||
+           (v.kind == json::Value::Kind::kDouble && v.num == std::floor(v.num));
   }
 
-  const JsonValue& obj_;
+  const json::Value* Take(const char* key) {
+    if (failed_) return nullptr;
+    taken_.insert(key);
+    return obj_.Find(key);
+  }
+
+  const json::Value& obj_;
   std::string where_;
   std::string* err_;
   std::set<std::string> taken_;
@@ -423,30 +250,29 @@ FaultSchedule FaultSchedule::Scaled(double factor) const {
 
 bool ParseSchedule(const std::string& text, FaultSchedule* out, std::string* err) {
   if (err != nullptr) err->clear();
-  JsonValue root;
+  json::Value root;
   {
-    JsonReader reader(text);
     std::string perr;
-    if (!reader.Parse(&root, &perr)) {
+    if (!json::Parse(text, &root, &perr)) {
       if (err != nullptr) *err = "fault schedule: " + perr;
       return false;
     }
   }
-  if (root.type != JsonValue::Type::kObject) {
+  if (!root.is_object()) {
     if (err != nullptr) *err = "fault schedule: top level must be an object";
     return false;
   }
   FaultSchedule sched;
   FieldReader fr(root, "fault schedule", err);
   if (!fr.Uint("seed", &sched.seed)) return false;
-  if (const JsonValue* arr = fr.Array("link_faults")) {
+  if (const json::Value* arr = fr.Array("link_faults")) {
     for (std::size_t i = 0; i < arr->arr.size(); ++i) {
-      const JsonValue& e = arr->arr[i];
+      const json::Value& e = arr->arr[i];
       std::string where = "link_faults[" + std::to_string(i) + "]";
-      if (e.type != JsonValue::Type::kObject) return fr.Fail(where + " must be an object");
+      if (!e.is_object()) return fr.Fail(where + " must be an object");
       FieldReader wfr(e, where, err);
       LinkFaultWindow w;
-      std::int64_t link = 0;
+      int link = 0;
       bool ok = wfr.Int("link", &link) && wfr.Uint("start", &w.start) &&
                 wfr.Uint("end", &w.end) && wfr.Uint("extra_latency", &w.extra_latency) &&
                 wfr.Double("drop_prob", &w.drop_prob) && wfr.Finish() &&
@@ -459,14 +285,14 @@ bool ParseSchedule(const std::string& text, FaultSchedule* out, std::string* err
       sched.link_faults.push_back(w);
     }
   }
-  if (const JsonValue* arr = fr.Array("bank_faults")) {
+  if (const json::Value* arr = fr.Array("bank_faults")) {
     for (std::size_t i = 0; i < arr->arr.size(); ++i) {
-      const JsonValue& e = arr->arr[i];
+      const json::Value& e = arr->arr[i];
       std::string where = "bank_faults[" + std::to_string(i) + "]";
-      if (e.type != JsonValue::Type::kObject) return fr.Fail(where + " must be an object");
+      if (!e.is_object()) return fr.Fail(where + " must be an object");
       FieldReader wfr(e, where, err);
       BankFaultWindow w;
-      std::int64_t mc = 0, bank = 0;
+      int mc = 0, bank = 0;
       std::string kind = "stall";
       bool ok = wfr.Int("mc", &mc) && wfr.Int("bank", &bank) &&
                 wfr.Uint("start", &w.start) && wfr.Uint("end", &w.end) &&
@@ -481,18 +307,18 @@ bool ParseSchedule(const std::string& text, FaultSchedule* out, std::string* err
         return wfr.Fail("kind must be \"stall\" or \"nack\"") && false;
       }
       w.mc = static_cast<sim::McId>(mc);
-      w.bank = static_cast<int>(bank);
+      w.bank = bank;
       sched.bank_faults.push_back(w);
     }
   }
-  if (const JsonValue* arr = fr.Array("mc_pressure")) {
+  if (const json::Value* arr = fr.Array("mc_pressure")) {
     for (std::size_t i = 0; i < arr->arr.size(); ++i) {
-      const JsonValue& e = arr->arr[i];
+      const json::Value& e = arr->arr[i];
       std::string where = "mc_pressure[" + std::to_string(i) + "]";
-      if (e.type != JsonValue::Type::kObject) return fr.Fail(where + " must be an object");
+      if (!e.is_object()) return fr.Fail(where + " must be an object");
       FieldReader wfr(e, where, err);
       McPressureWindow w;
-      std::int64_t mc = 0;
+      int mc = 0;
       bool ok = wfr.Int("mc", &mc) && wfr.Uint("start", &w.start) &&
                 wfr.Uint("end", &w.end) && wfr.Uint("extra_delay", &w.extra_delay) &&
                 wfr.Finish() && RequireWindow(wfr, w.start, w.end);
@@ -501,9 +327,9 @@ bool ParseSchedule(const std::string& text, FaultSchedule* out, std::string* err
       sched.mc_pressure.push_back(w);
     }
   }
-  if (const JsonValue* res = fr.Object("resilience")) {
+  if (const json::Value* res = fr.Object("resilience")) {
     FieldReader rfr(*res, "resilience", err);
-    std::int64_t retries = sched.resilience.max_retries;
+    int retries = sched.resilience.max_retries;
     bool ok = rfr.Int("max_retries", &retries) &&
               rfr.Double("backoff_mult", &sched.resilience.backoff_mult) &&
               rfr.Uint("retransmit_delay", &sched.resilience.retransmit_delay) &&
@@ -522,7 +348,7 @@ bool ParseSchedule(const std::string& text, FaultSchedule* out, std::string* err
     if (sched.resilience.nack_backoff == 0) {
       return rfr.Fail("nack_backoff must be positive") && false;
     }
-    sched.resilience.max_retries = static_cast<int>(retries);
+    sched.resilience.max_retries = retries;
   }
   if (!fr.Finish()) return false;
   *out = std::move(sched);

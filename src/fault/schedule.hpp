@@ -11,9 +11,8 @@
 //
 // Layering: src/fault sits directly above src/sim (alongside src/noc and
 // src/mem, which consume injector decisions through plain std::function
-// hooks). It deliberately does not use harness::json — the harness links
-// against this module, not the other way around — so the schedule grammar
-// is parsed by the small self-contained reader in schedule.cpp.
+// hooks). Schedule text is parsed by the leaf JSON codec in src/json; the
+// schedule grammar (known keys, types, ranges) is checked on top of it.
 
 #include <cstdint>
 #include <string>

@@ -12,7 +12,7 @@
 
 #include "arch/config.hpp"
 #include "fault/schedule.hpp"
-#include "harness/json.hpp"
+#include "json/json.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/bottleneck.hpp"
 #include "obs/metrics.hpp"

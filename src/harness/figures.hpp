@@ -1,11 +1,9 @@
 #pragma once
 
-// The figure registry: every paper figure/table grid the bench binaries
-// regenerate, expressed as a declarative SweepSpec builder plus a stdout
-// renderer. RunFigure() is the single entry point shared by the bench
-// binaries and the ndc-sweep tool — it sweeps the grid (parallel, cached)
-// and renders a table bit-compatible with the pre-harness binaries at
-// default settings.
+// The figure registry: every paper figure/table grid, expressed as a
+// declarative SweepSpec builder plus a stdout renderer. RunFigure() is the
+// single entry point, called by the ndc-sweep tool — it sweeps the grid
+// (parallel, cached) and renders the table recorded in tests/goldens/.
 //
 // Two figure flavors:
 //  - grid figures (fig04, fig06, fig13..fig17, abl, diag_congestion,

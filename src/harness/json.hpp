@@ -1,58 +1,10 @@
 #pragma once
 
-// Minimal JSON support for the experiment harness: a tagged value type, a
-// compact serializer, and a recursive-descent parser. Covers exactly the
-// subset the result cache and the exporters emit (objects, arrays, strings,
-// unsigned integers, doubles, bools, null) — deliberately not a
-// general-purpose library; the only producers of the parsed files are the
-// serializer below and hand-edited cache files are unsupported.
+// The JSON codec lives in src/json (namespace ndc::json). This alias keeps
+// the old harness::json spelling for perfbench/, which still includes it.
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include "json/json.hpp"
 
-namespace ndc::harness::json {
-
-struct Value {
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kObject, kArray };
-
-  Kind kind = Kind::kNull;
-  bool b = false;
-  std::uint64_t u64 = 0;  ///< kInt payload
-  double num = 0.0;       ///< kDouble payload
-  std::string str;        ///< kString payload
-  std::map<std::string, Value> obj;
-  std::vector<Value> arr;
-
-  static Value Null() { return {}; }
-  static Value Bool(bool v);
-  static Value Int(std::uint64_t v);
-  static Value Double(double v);
-  static Value Str(std::string v);
-  static Value Object();
-  static Value Array();
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const Value* Find(const std::string& key) const;
-
-  /// Numeric coercion (kInt or kDouble; `fallback` otherwise).
-  std::uint64_t AsU64(std::uint64_t fallback = 0) const;
-  double AsDouble(double fallback = 0.0) const;
-};
-
-/// JSON string escaping (quotes, backslash, control characters).
-std::string Escape(const std::string& s);
-
-/// Compact single-line serialization (object keys in map order, so the
-/// output is deterministic).
-std::string Dump(const Value& v);
-
-/// Parses one JSON document. Returns false (and sets `err` when non-null)
-/// on malformed input or trailing garbage.
-bool Parse(const std::string& text, Value* out, std::string* err = nullptr);
-
-}  // namespace ndc::harness::json
+namespace ndc::harness {
+namespace json = ndc::json;
+}  // namespace ndc::harness

@@ -52,7 +52,8 @@ const std::vector<arch::Trace>& Experiment::BaselineTraces() {
   return base_traces_;
 }
 
-runtime::RunResult Experiment::RunTraces(const std::vector<arch::Trace>& traces,
+runtime::RunResult Experiment::RunTraces(const arch::ArchConfig& cfg,
+                                         const std::vector<arch::Trace>& traces,
                                          runtime::MachineOptions opts, bool with_faults) {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
   // A fresh injector per measured run: its RNG restarts from the schedule
@@ -63,7 +64,7 @@ runtime::RunResult Experiment::RunTraces(const std::vector<arch::Trace>& traces,
     inj = std::make_unique<fault::FaultInjector>(*faults_);
     opts.faults = inj.get();
   }
-  runtime::Machine m(cfg_, opts);
+  runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
   runtime::RunResult r = m.Run();
   if (inj != nullptr) {
@@ -77,7 +78,7 @@ runtime::RunResult Experiment::RunTraces(const std::vector<arch::Trace>& traces,
 
 const runtime::RunResult& Experiment::Baseline() {
   if (!have_baseline_) {
-    baseline_ = RunTraces(BaselineTraces(), {});
+    baseline_ = RunTraces(cfg_, BaselineTraces(), {});
     have_baseline_ = true;
   }
   return baseline_;
@@ -87,7 +88,7 @@ const runtime::RunResult& Experiment::Observe() {
   if (!have_observe_) {
     runtime::MachineOptions opts;
     opts.observe = true;
-    observe_ = RunTraces(BaselineTraces(), opts);
+    observe_ = RunTraces(cfg_, BaselineTraces(), opts);
     have_observe_ = true;
   }
   return observe_;
@@ -106,7 +107,7 @@ SchemeResult Experiment::Run(Scheme scheme) {
         // scheme.
         runtime::MachineOptions bopts;
         bopts.obs = obs_;
-        out.run = RunTraces(BaselineTraces(), bopts, /*with_faults=*/true);
+        out.run = RunTraces(cfg_, BaselineTraces(), bopts, /*with_faults=*/true);
       } else {
         out.run = base;
       }
@@ -158,7 +159,7 @@ SchemeResult Experiment::Run(Scheme scheme) {
   runtime::MachineOptions opts;
   opts.policy = policy.get();
   opts.obs = obs_;
-  out.run = RunTraces(BaselineTraces(), opts, /*with_faults=*/true);
+  out.run = RunTraces(cfg_, BaselineTraces(), opts, /*with_faults=*/true);
   out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
   return out;
 }
@@ -181,23 +182,9 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
     out.compile_report = compiler::Compile(prog, ad, opt);
     traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
   }
-  obs::ScopedPhase phase(obs::Phase::kSimulate);
   runtime::MachineOptions mopts;
   mopts.obs = obs_;
-  std::unique_ptr<fault::FaultInjector> inj;
-  if (faults_ != nullptr && !faults_->Empty()) {
-    inj = std::make_unique<fault::FaultInjector>(*faults_);
-    mopts.faults = inj.get();
-  }
-  runtime::Machine m(cfg, mopts);
-  m.LoadProgram(traces);
-  out.run = m.Run();
-  if (inj != nullptr) {
-    last_conservation_ = m.GatherConservation();
-    last_injections_ = inj->counts();
-    have_fault_report_ = true;
-  }
-  if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddSimEvents(out.run.events);
+  out.run = RunTraces(cfg, traces, mopts, /*with_faults=*/true);
   out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
   return out;
 }

@@ -85,7 +85,11 @@ class Experiment {
   const fault::InjectionCounts& last_injections() const { return last_injections_; }
 
  private:
-  runtime::RunResult RunTraces(const std::vector<arch::Trace>& traces,
+  /// The one simulation entry point: runs `traces` on a fresh Machine built
+  /// from `cfg`. `with_faults` marks a measured run, which gets a fresh
+  /// injector from the attached schedule and records the fault report.
+  runtime::RunResult RunTraces(const arch::ArchConfig& cfg,
+                               const std::vector<arch::Trace>& traces,
                                runtime::MachineOptions opts, bool with_faults = false);
 
   std::string workload_;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "json/json.hpp"
+
 namespace ndc::obs {
 namespace {
 
@@ -14,21 +16,9 @@ void AppendU64(std::string& out, std::uint64_t v) {
 
 // Event names are static strings chosen by the instrumentation (no user
 // input), but escape defensively so the output is always valid JSON.
-void AppendEscaped(std::string& out, const char* s) {
+void AppendQuoted(std::string& out, const char* s) {
   out += '"';
-  for (; *s != '\0'; ++s) {
-    unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += static_cast<char>(c);
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
+  json::AppendEscaped(out, s);
   out += '"';
 }
 
@@ -55,7 +45,7 @@ std::string TraceSink::ToJson() const {
     out += ",\"tid\":";
     AppendU64(out, static_cast<std::uint64_t>(e.tid));
     out += ",\"name\":";
-    AppendEscaped(out, e.name);
+    AppendQuoted(out, e.name);
     if (e.ph == 'i') out += ",\"s\":\"t\"";  // instant scope: thread
     if (e.token != 0 || e.arg_name != nullptr) {
       out += ",\"args\":{";
@@ -67,7 +57,7 @@ std::string TraceSink::ToJson() const {
       }
       if (e.arg_name != nullptr) {
         if (comma) out += ',';
-        AppendEscaped(out, e.arg_name);
+        AppendQuoted(out, e.arg_name);
         out += ':';
         AppendU64(out, e.arg);
       }

@@ -1,8 +1,9 @@
 #include "verify/diagnostics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "json/json.hpp"
 
 namespace ndc::verify {
 
@@ -121,27 +122,6 @@ std::string Report::ToText() const {
   return os.str();
 }
 
-namespace {
-void JsonEscape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-}  // namespace
-
 std::string Report::ToJson() const {
   std::ostringstream os;
   os << "[";
@@ -153,7 +133,7 @@ std::string Report::ToJson() const {
        << "\", \"nest\": " << d.nest << ", \"stmt\": " << d.stmt
        << ", \"stmt_id\": " << d.stmt_id << ", \"array\": " << d.array
        << ", \"message\": \"";
-    JsonEscape(os, d.message);
+    os << json::Escape(d.message);
     os << "\"}";
   }
   os << (diags.empty() ? "]" : "\n]");

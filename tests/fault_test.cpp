@@ -68,6 +68,18 @@ TEST(Schedule, ParseRejectsMalformedInput) {
   EXPECT_FALSE(ParseSchedule(R"({"resilience":{"nack_backoff":0}})", &out, &err));
   EXPECT_FALSE(ParseSchedule(R"({"seed":1} trailing)", &out, &err));
   EXPECT_FALSE(ParseSchedule(R"({"seed":1,"seed":2})", &out, &err));
+  // Number tokens must convert in full and fit their field.
+  for (const char* bad : {R"({"seed":+})", R"({"seed":-})", R"({"seed":.})", R"({"seed":1-2})",
+                          R"({"seed":7e})", R"({"seed":3.0.0})",
+                          R"({"seed":99999999999999999999})",
+                          R"({"link_faults":[{"link":2147483648,"start":0,"end":9}]})",
+                          R"({"resilience":{"max_retries":4294967295}})",
+                          R"({"resilience":{"max_retries":1e300}})"}) {
+    EXPECT_FALSE(ParseSchedule(bad, &out, &err)) << bad;
+  }
+  EXPECT_FALSE(ParseSchedule(R"({"resilience":{"max_retries":1,"max_retries":2}})", &out, &err));
+  // \u016e truncated to its low byte would read as "nack".
+  EXPECT_FALSE(ParseSchedule(R"({"bank_faults":[{"kind":"\u016eack"}]})", &out, &err));
 }
 
 TEST(Schedule, LoadAcceptsInlineJsonAndFiles) {

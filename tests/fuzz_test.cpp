@@ -2,13 +2,23 @@
 // address mixes, run under every policy, must always run to completion —
 // no deadlocks, no lost completions — and deterministically. Plus a
 // pipeline/auditor cross-check: random IR programs fed through Compile()
-// in every mode must come out clean under the independent verifier.
+// in every mode must come out clean under the independent verifier. Plus
+// the input parsers: random and mutated bytes fed to json::Parse,
+// fault::ParseSchedule and the result-cache loader are accepted or
+// rejected, never crash, and whatever is accepted re-serializes stably.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
 #include "compiler/pipeline.hpp"
+#include "fault/schedule.hpp"
+#include "harness/cache.hpp"
+#include "json/json.hpp"
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 #include "sim/rng.hpp"
@@ -268,6 +278,199 @@ TEST_P(FuzzIrSeeds, CompiledProgramsPassTheIndependentAuditor) {
 INSTANTIATE_TEST_SUITE_P(IrSeeds, FuzzIrSeeds,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
                                            15, 16, 17, 18, 19, 20, 101, 202, 303, 404));
+
+// --- parsers: every input is accepted or rejected, never a crash ---------
+
+// A byte biased toward JSON syntax, so that random inputs get past the
+// first character often enough to reach numbers, escapes and nesting.
+char RandomByte(sim::Rng& rng) {
+  static constexpr char kAlphabet[] = "{}[]:,\"\\ -+.eE0123456789truefalsn/u";
+  return rng.NextBool(0.8) ? kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)]
+                           : static_cast<char>(rng.NextBelow(256));
+}
+
+std::string RandomBytes(sim::Rng& rng, std::size_t max_len) {
+  std::string s(rng.NextBelow(max_len + 1), '\0');
+  for (char& c : s) c = RandomByte(rng);
+  return s;
+}
+
+// One to four random edits: overwrite, delete, duplicate or insert a span,
+// or truncate.
+std::string Mutate(sim::Rng& rng, std::string s) {
+  int edits = 1 + static_cast<int>(rng.NextBelow(4));
+  for (int e = 0; e < edits && !s.empty(); ++e) {
+    std::size_t at = rng.NextBelow(s.size());
+    std::size_t len = 1 + rng.NextBelow(std::min<std::size_t>(8, s.size() - at));
+    switch (rng.NextBelow(5)) {
+      case 0: s[at] = RandomByte(rng); break;
+      case 1: s.erase(at, len); break;
+      case 2: s.insert(at, s.substr(at, len)); break;
+      case 3: s.insert(at, RandomBytes(rng, 4)); break;
+      default: s.resize(at); break;
+    }
+  }
+  return s;
+}
+
+// Replaces the whole value after the `n`-th ':' (a scalar, or a bracketed
+// object or array) with `repl`, giving a field of the wrong type or range.
+// The documents fed here have no ':' or brackets inside strings.
+std::string ReplaceNthValue(const std::string& s, std::size_t n, const std::string& repl) {
+  std::size_t begin = std::string::npos;
+  for (std::size_t i = 0, seen = 0; i < s.size(); ++i) {
+    if (s[i] == ':' && seen++ == n) {
+      begin = i + 1;
+      break;
+    }
+  }
+  if (begin == std::string::npos) return s;
+  std::size_t end = begin;
+  for (int depth = 0; end < s.size(); ++end) {
+    char c = s[end];
+    if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      if (depth == 0) break;
+      if (--depth == 0) {
+        ++end;
+        break;
+      }
+    } else if (c == ',' && depth == 0) {
+      break;
+    }
+  }
+  return s.substr(0, begin) + repl + s.substr(end);
+}
+
+const char* const kWrongTypes[] = {"\"x\"", "[]", "{}", "-1", "1.5", "1e300", "true", "null",
+                                   "18446744073709551615"};
+
+fault::FaultSchedule SeedSchedule() {
+  fault::FaultSchedule s;
+  s.seed = 7;
+  s.link_faults.push_back({3, 100, 900, 8, 0.25});
+  s.bank_faults.push_back({1, 7, 200, 800, fault::BankFaultKind::kNack});
+  s.mc_pressure.push_back({1, 200, 400, 16});
+  s.resilience.max_retries = 2;
+  s.resilience.backoff_mult = 1.5;
+  return s;
+}
+
+// An accepted document must survive Dump -> Parse -> Dump unchanged.
+void ExpectJsonStable(const std::string& text) {
+  json::Value v;
+  if (!json::Parse(text, &v)) return;
+  std::string once = json::Dump(v);
+  json::Value back;
+  ASSERT_TRUE(json::Parse(once, &back)) << text;
+  EXPECT_EQ(json::Dump(back), once) << text;
+}
+
+// An accepted schedule must round-trip through its own ToJson.
+void ExpectScheduleStable(const std::string& text) {
+  fault::FaultSchedule s;
+  std::string err;
+  if (!fault::ParseSchedule(text, &s, &err)) {
+    EXPECT_FALSE(err.empty()) << text;
+    return;
+  }
+  fault::FaultSchedule back;
+  ASSERT_TRUE(fault::ParseSchedule(s.ToJson(), &back, &err)) << text << "\n" << err;
+  EXPECT_EQ(back.CanonicalString(), s.CanonicalString()) << text;
+}
+
+class FuzzParserSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FuzzParserSeeds, JsonParseAcceptsOrRejects) {
+  sim::Rng rng(GetParam());
+  const std::string seeds[] = {
+      SeedSchedule().ToJson(),
+      R"({"a":[1,-2.5e-3,"s\n\u001f",true,false,null,{}],"b":{"c":[]}})",
+      std::string(300, '[') + std::string(300, ']'),
+  };
+  for (int i = 0; i < 1000; ++i) {
+    ExpectJsonStable(RandomBytes(rng, 48));
+    for (const std::string& seed : seeds) ExpectJsonStable(Mutate(rng, seed));
+  }
+}
+
+TEST_P(FuzzParserSeeds, ParseScheduleAcceptsOrRejects) {
+  sim::Rng rng(GetParam());
+  const std::string valid = SeedSchedule().ToJson();
+  ExpectScheduleStable(valid);
+  for (std::size_t n = 0; n < valid.size(); ++n) ExpectScheduleStable(valid.substr(0, n));
+  for (std::size_t field = 0; field < 20; ++field) {
+    for (const char* wrong : kWrongTypes) {
+      ExpectScheduleStable(ReplaceNthValue(valid, field, wrong));
+    }
+  }
+  for (int i = 0; i < 1000; ++i) {
+    ExpectScheduleStable(Mutate(rng, valid));
+    ExpectScheduleStable(RandomBytes(rng, 48));
+  }
+}
+
+TEST_P(FuzzParserSeeds, ResultCacheLoaderAcceptsOrRejects) {
+  sim::Rng rng(GetParam());
+  std::string dir = ::testing::TempDir() + "/ndc-fuzz-cache-" + std::to_string(GetParam());
+  std::string path = dir + "/results.jsonl";
+  std::remove(path.c_str());
+  harness::CellSpec spec;
+  spec.workload = "md";
+  spec.scale = workloads::Scale::kTest;
+  harness::CellResult result;
+  result.makespan = 1234;
+  result.stats["noc.packets"] = 99;
+  {
+    harness::ResultCache cache(dir);
+    ASSERT_TRUE(cache.ok());
+    cache.Insert(spec, result);
+  }
+  std::string valid;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) valid += buf;
+    std::fclose(f);
+  }
+  ASSERT_FALSE(valid.empty());
+  valid.pop_back();  // the newline
+
+  for (int round = 0; round < 100; ++round) {
+    // The valid line twice (duplicates: last wins) among damaged lines.
+    std::string text = valid + "\n" + valid + "\n";
+    for (int i = 0; i < 8; ++i) {
+      switch (rng.NextBelow(4)) {
+        case 0: text += valid.substr(0, rng.NextBelow(valid.size())); break;
+        case 1: text += Mutate(rng, valid); break;
+        case 2:
+          text += ReplaceNthValue(valid, rng.NextBelow(40),
+                                  kWrongTypes[rng.NextBelow(std::size(kWrongTypes))]);
+          break;
+        default: text += RandomBytes(rng, 64); break;
+      }
+      text += '\n';
+    }
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+
+    harness::ResultCache cache(dir);
+    // Damaged text may carry newlines of its own: bound by lines, not edits.
+    auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+    EXPECT_LE(cache.load_errors(), lines - 2);
+    // A damaged line may still load (a wrong-typed provenance field is not
+    // read) and even replace the entry, but the valid key cannot vanish.
+    harness::CellResult out;
+    EXPECT_TRUE(cache.Lookup(spec, &out));
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(ParserSeeds, FuzzParserSeeds, ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace ndc::runtime

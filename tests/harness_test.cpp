@@ -16,6 +16,7 @@
 #include "harness/figures.hpp"
 #include "harness/pool.hpp"
 #include "harness/sweep.hpp"
+#include "json/json.hpp"
 
 namespace ndc::harness {
 namespace {
@@ -45,6 +46,25 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(json::Parse("[1,2", &v));
   EXPECT_FALSE(json::Parse("{} trailing", &v));
   EXPECT_FALSE(json::Parse("", &v));
+  // A number token must convert in full: no sign-only, dot-only or
+  // truncated-prefix readings.
+  for (const char* bad : {"{\"a\":+}", "{\"a\":-}", "{\"a\":.}", "{\"a\":1-2}",
+                          "{\"a\":7e}", "{\"a\":3.0.0}"}) {
+    EXPECT_FALSE(json::Parse(bad, &v)) << bad;
+  }
+  EXPECT_FALSE(json::Parse("99999999999999999999", &v));  // overflows uint64
+  EXPECT_FALSE(json::Parse("{\"a\":1,\"a\":2}", &v));     // duplicate key
+  EXPECT_FALSE(json::Parse("\"\\u00e9\"", &v));           // \u above 0x7f
+  EXPECT_FALSE(json::Parse(std::string(10000, '['), &v));  // nesting bound
+}
+
+TEST(Json, EscapeRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(json::Escape("\b\f\x01\xc3\xa9"), "\\b\\f\\u0001\xc3\xa9");
+  json::Value back;
+  ASSERT_TRUE(json::Parse(json::Dump(json::Value::Str(all)), &back));
+  EXPECT_EQ(back.str, all);
 }
 
 TEST(Json, RoundTripsLargeIntegersExactly) {

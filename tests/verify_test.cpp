@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/pipeline.hpp"
-#include "harness/json.hpp"
+#include "json/json.hpp"
 #include "verify/sarif.hpp"
 #include "verify/verify.hpp"
 #include "workloads/sharded.hpp"
@@ -836,16 +836,16 @@ TEST(Sarif, RoundTripsControlCharactersAndMultiByteRunes) {
   rep.Add(Severity::kError, Code::kSyncBadArray, msg, 1, 2);
   std::string s = ToSarif(rep);
 
-  harness::json::Value v;
+  json::Value v;
   std::string err;
-  ASSERT_TRUE(harness::json::Parse(s, &v, &err)) << err << "\n" << s;
-  const harness::json::Value* runs = v.Find("runs");
+  ASSERT_TRUE(json::Parse(s, &v, &err)) << err << "\n" << s;
+  const json::Value* runs = v.Find("runs");
   ASSERT_TRUE(runs != nullptr && runs->is_array() && !runs->arr.empty());
-  const harness::json::Value* results = runs->arr[0].Find("results");
+  const json::Value* results = runs->arr[0].Find("results");
   ASSERT_TRUE(results != nullptr && results->is_array() && !results->arr.empty());
-  const harness::json::Value* message = results->arr[0].Find("message");
+  const json::Value* message = results->arr[0].Find("message");
   ASSERT_TRUE(message != nullptr);
-  const harness::json::Value* text = message->Find("text");
+  const json::Value* text = message->Find("text");
   ASSERT_TRUE(text != nullptr);
   EXPECT_EQ(text->str, msg);  // byte-identical round trip
   EXPECT_NE(s.find("\"ruleId\": \"S506\""), std::string::npos) << s;

@@ -1,7 +1,8 @@
-# Helper for the *_rejects_malformed_* ctests: runs BIN with one argument ARG
-# and passes iff it exits 2 and prints its usage text.
+# Helper for the *_rejects_* ctests: runs BIN with the argument list ARG (one
+# argument, or several separated by ';') and passes iff it exits 2 and prints
+# its usage text.
 execute_process(
-  COMMAND "${BIN}" "${ARG}"
+  COMMAND "${BIN}" ${ARG}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "harness/cell.hpp"
+#include "json/json.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/obs.hpp"
 #include "workloads/sharded.hpp"
@@ -34,8 +35,8 @@
 
 namespace {
 
-using ndc::harness::json::Dump;
-using ndc::harness::json::Value;
+using ndc::json::Dump;
+using ndc::json::Value;
 
 struct ClassifyArgs {
   ndc::workloads::Scale scale = ndc::workloads::Scale::kTest;

@@ -2,7 +2,7 @@
 //
 // Fans the figure's (workload x scheme x config) grid across a work-stealing
 // thread pool, consults the persistent on-disk result cache (.ndc-cache/),
-// and renders the same stdout table the corresponding bench binary prints.
+// and renders the figure's stdout table (tests/goldens/ at --scale=test).
 // A warm re-run of an already-measured grid performs zero simulator
 // invocations; --require-all-hits turns that into an enforced exit status
 // for CI cache verification.
@@ -43,6 +43,7 @@
 #include "fault/schedule.hpp"
 #include "harness/cell.hpp"
 #include "harness/figures.hpp"
+#include "json/json.hpp"
 
 namespace {
 
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
     int rc = ndc::harness::RunFigure(name, opt, &summary);
     if (rc != 0) return rc;
     cells_simulated += summary.cells_simulated;
-    std::fprintf(stderr, "%s\n", ndc::harness::json::Dump(summary.ToJson()).c_str());
+    std::fprintf(stderr, "%s\n", ndc::json::Dump(summary.ToJson()).c_str());
     if (!args.summary_path.empty() &&
         !ndc::harness::AppendSummary(summary, args.summary_path)) {
       std::fprintf(stderr, "ndc-sweep: cannot append to %s\n", args.summary_path.c_str());
