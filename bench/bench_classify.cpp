@@ -8,7 +8,7 @@
 // window), while the atomic reduction and the wavefront stencil flip from
 // dram-latency to sync once grant stalls dominate core time. Each row
 // prints the label next to the full derived signal vector, so a flip is
-// always accompanied by the fractions that caused it; --json writes the
+// always accompanied by the fractions that caused it; --out writes the
 // curve with the complete classification objects (raw counters, thresholds,
 // per-window series).
 //
@@ -18,6 +18,8 @@
 // With NDC_OBS=OFF there is nothing to sample; the binary prints a note
 // and exits 0 so generic bench invocations stay harmless.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "compiler/codegen.hpp"
 #include "harness/cell.hpp"
 #include "json/json.hpp"
@@ -43,13 +44,13 @@ struct ClassifyBenchArgs {
   std::string only;
   std::vector<int> cores = {1, 2, 4, 8, 16, 25};
   std::uint64_t window = ndc::harness::kDefaultClassifyWindow;
-  std::string json_path;
+  std::string out_path;
 };
 
 [[noreturn]] void UsageAndExit(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--scale=test|small|full] [--bench=NAME]\n"
-               "         [--cores=K1,K2,...] [--window=CYCLES] [--json=FILE|--out=FILE]\n",
+               "         [--cores=K1,K2,...] [--window=CYCLES] [--out=FILE]\n",
                prog);
   std::exit(2);
 }
@@ -78,16 +79,19 @@ ClassifyBenchArgs Parse(int argc, char** argv) {
       }
       if (a.cores.empty()) UsageAndExit(argv[0]);
     } else if (std::strncmp(arg, "--window=", 9) == 0) {
+      const char* s = arg + 9;
       char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 9, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) UsageAndExit(argv[0]);
+      errno = 0;
+      unsigned long long n = std::strtoull(s, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+          n == 0) {
+        std::fprintf(stderr, "%s: --window expects a positive cycle count, got '%s'\n", argv[0],
+                     s);
+        UsageAndExit(argv[0]);
+      }
       a.window = n;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      a.json_path = arg + 7;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      // Alias of --json: the BENCH_*.json contract (EXPERIMENTS.md) spells
-      // the report path --out=FILE across every bench binary.
-      a.json_path = arg + 6;
+      a.out_path = arg + 6;
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg);
       UsageAndExit(argv[0]);
@@ -154,7 +158,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.json_path.empty()) {
+  if (!args.out_path.empty()) {
     json::Value report = json::Value::Object();
     report.obj["bench"] = json::Value::Str("classify");
     report.obj["scale"] = json::Value::Str(ndc::harness::ScaleName(args.scale));
@@ -162,9 +166,9 @@ int main(int argc, char** argv) {
     report.obj["machine_nodes"] =
         json::Value::Int(static_cast<std::uint64_t>(cfg.num_nodes()));
     report.obj["rows"] = rows;
-    std::ofstream f(args.json_path);
+    std::ofstream f(args.out_path);
     if (!f) {
-      std::fprintf(stderr, "bench_classify: cannot write %s\n", args.json_path.c_str());
+      std::fprintf(stderr, "bench_classify: cannot write %s\n", args.out_path.c_str());
       return 2;
     }
     f << json::Dump(report) << "\n";

@@ -6,7 +6,7 @@
 // that intensity: NoC link outages/slowdowns, DRAM bank stall/NACK windows,
 // and MC queue-pressure spikes, with the timeout/retry/degrade machinery
 // enabled. Prints one table row per (benchmark, intensity) and optionally
-// writes the full curve as a JSON report (--json=FILE).
+// writes the full curve as a JSON report (--out=FILE).
 //
 // After every faulted run the request-conservation invariant is checked:
 // every issued request must be accounted for as completed, degraded to the
@@ -26,9 +26,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "fault/fault.hpp"
+#include "harness/cell.hpp"
 #include "json/json.hpp"
+#include "metrics/experiment.hpp"
 
 namespace {
 
@@ -46,14 +47,14 @@ struct ResArgs {
   std::vector<double> intensities = {0.25, 0.5, 0.75, 1.0};
   std::uint64_t storm_seed = 1;
   int max_retries = 2;
-  std::string json_path;
+  std::string out_path;
 };
 
 [[noreturn]] void UsageAndExit(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--scale=test|small|full] [--bench=NAME]\n"
                "         [--intensities=X,Y,...] [--storm-seed=N] [--max-retries=N]\n"
-               "         [--json=FILE]\n",
+               "         [--out=FILE]\n",
                prog);
   std::exit(2);
 }
@@ -101,8 +102,8 @@ ResArgs Parse(int argc, char** argv) {
       a.storm_seed = ParseCount(argv[0], "--storm-seed", arg + 13, UINT64_MAX);
     } else if (std::strncmp(arg, "--max-retries=", 14) == 0) {
       a.max_retries = static_cast<int>(ParseCount(argv[0], "--max-retries", arg + 14, INT_MAX));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      a.json_path = arg + 7;
+    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+      a.out_path = arg + 6;
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg);
       UsageAndExit(argv[0]);
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.json_path.empty()) {
+  if (!args.out_path.empty()) {
     json::Value report = json::Value::Object();
     report.obj["bench"] = json::Value::Str("resilience");
     report.obj["scheme"] = json::Value::Str(ndc::metrics::SchemeName(scheme));
@@ -226,9 +227,9 @@ int main(int argc, char** argv) {
     report.obj["storm_seed"] = json::Value::Int(args.storm_seed);
     report.obj["max_retries"] = json::Value::Int(static_cast<std::uint64_t>(args.max_retries));
     report.obj["rows"] = rows;
-    std::ofstream f(args.json_path);
+    std::ofstream f(args.out_path);
     if (!f) {
-      std::fprintf(stderr, "bench_resilience: cannot write %s\n", args.json_path.c_str());
+      std::fprintf(stderr, "bench_resilience: cannot write %s\n", args.out_path.c_str());
       return 2;
     }
     f << json::Dump(report) << "\n";

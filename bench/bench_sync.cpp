@@ -8,7 +8,7 @@
 // engines expose — total stall cycles (grant minus issue, the cores'
 // view) and queue-wait cycles (service minus arrival, the engines' view)
 // — with per-op averages, and optionally writes the full curve as a JSON
-// report (--json=FILE).
+// report (--out=FILE).
 //
 // After every run the request-conservation invariant is checked; it now
 // covers the sync engines' issued-vs-granted accounting (atomics, lock
@@ -27,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "compiler/codegen.hpp"
 #include "fault/fault.hpp"
+#include "harness/cell.hpp"
 #include "json/json.hpp"
 #include "workloads/sharded.hpp"
 
@@ -46,13 +46,13 @@ struct SyncArgs {
   ndc::workloads::Scale scale = ndc::workloads::Scale::kSmall;
   std::string only;
   std::vector<int> cores = {1, 2, 4, 8, 16, 25};
-  std::string json_path;
+  std::string out_path;
 };
 
 [[noreturn]] void UsageAndExit(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--scale=test|small|full] [--bench=NAME]\n"
-               "         [--cores=K1,K2,...] [--json=FILE|--out=FILE]\n",
+               "         [--cores=K1,K2,...] [--out=FILE]\n",
                prog);
   std::exit(2);
 }
@@ -80,12 +80,8 @@ SyncArgs Parse(int argc, char** argv) {
         p = (*end == ',') ? end + 1 : end;
       }
       if (a.cores.empty()) UsageAndExit(argv[0]);
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      a.json_path = arg + 7;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      // Alias of --json: the BENCH_*.json contract (EXPERIMENTS.md) spells
-      // the report path --out=FILE across every bench binary.
-      a.json_path = arg + 6;
+      a.out_path = arg + 6;
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg);
       UsageAndExit(argv[0]);
@@ -171,15 +167,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.json_path.empty()) {
+  if (!args.out_path.empty()) {
     json::Value report = json::Value::Object();
     report.obj["bench"] = json::Value::Str("sync");
     report.obj["scale"] = json::Value::Str(ndc::harness::ScaleName(args.scale));
     report.obj["machine_nodes"] = json::Value::Int(static_cast<std::uint64_t>(cfg.num_nodes()));
     report.obj["rows"] = rows;
-    std::ofstream f(args.json_path);
+    std::ofstream f(args.out_path);
     if (!f) {
-      std::fprintf(stderr, "bench_sync: cannot write %s\n", args.json_path.c_str());
+      std::fprintf(stderr, "bench_sync: cannot write %s\n", args.out_path.c_str());
       return 2;
     }
     f << json::Dump(report) << "\n";

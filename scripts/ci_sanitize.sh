@@ -3,9 +3,10 @@
 #
 #   address (default): ASan + UBSan over the full ctest suite (plus
 #     ndc-lint, which is registered with ctest).
-#   thread: TSan over the only threading in the program, the sweep pool —
-#     the harness tests and one figure regenerated at --jobs=1 and --jobs=4,
-#     whose stdout must be byte-identical.
+#   thread: TSan over the only threading in the program, the sweep's
+#     ParallelFor threads — the harness tests (ParallelFor's own cases
+#     included) and one figure regenerated at --jobs=1 and --jobs=4, whose
+#     stdout must be byte-identical.
 #
 # Usage: scripts/ci_sanitize.sh [address|thread] [build-dir]
 #        (default build-dir: build-sanitize for address, build-tsan for thread)

@@ -545,7 +545,7 @@ void ExportObsSummaries(const SweepSpec& spec, const std::string& dir,
   const std::size_t n = spec.cells.size();
   std::vector<std::string> summaries(n);
   std::vector<std::string> lines(n);
-  WorkStealingPool::ParallelFor(jobs, n, [&](std::size_t i) {
+  ParallelFor(jobs, n, [&](std::size_t i) {
     const CellSpec& c = spec.cells[i];
     json::Value v = RunCellObsSummary(c, 1, classify_window);
     if (classify_window > 0) {

@@ -1,109 +1,26 @@
 #include "harness/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace ndc::harness {
 
-WorkStealingPool::WorkStealingPool(int num_threads) {
-  std::size_t n = static_cast<std::size_t>(std::max(1, num_threads));
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<Queue>());
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-WorkStealingPool::~WorkStealingPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void WorkStealingPool::Run(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  std::lock_guard<std::mutex> run_lock(run_mu_);  // one batch at a time
-  // Account for the whole batch before any task becomes visible, so a
-  // worker lingering in its drain loop from the previous batch cannot pop a
-  // new task and drive pending_ below zero.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_ = tasks.size();
-  }
-  // Deal round-robin so every worker starts with a local run of tasks;
-  // imbalance (cells vary widely in cost) is then evened out by stealing.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    Queue& q = *queues_[i % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mu);
-    q.tasks.push_back(std::move(tasks[i]));
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-bool WorkStealingPool::PopOrSteal(std::size_t self, std::function<void()>* out) {
-  {
-    Queue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  for (std::size_t off = 1; off < queues_.size(); ++off) {
-    Queue& q = *queues_[(self + off) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.front());  // steal the oldest: opposite end
-      q.tasks.pop_front();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkStealingPool::WorkerLoop(std::size_t self) {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return stop_ || queued_.load(std::memory_order_acquire) > 0; });
-      if (stop_) return;
-    }
-    std::function<void()> task;
-    while (PopOrSteal(self, &task)) {
-      task();
-      task = nullptr;
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
-    }
-    // Nothing left to pop or steal: tasks are only enqueued at batch-submit
-    // time, so the remainder of this batch is running on other workers.
-  }
-}
-
-void WorkStealingPool::ParallelFor(int jobs, std::size_t n,
-                                   const std::function<void(std::size_t)>& fn) {
+void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (jobs <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  WorkStealingPool pool(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), n)));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.push_back([&fn, i] { fn(i); });
-  }
-  pool.Run(std::move(tasks));
+  std::atomic<std::size_t> claimed{0};
+  auto worker = [&] {
+    for (std::size_t k; (k = claimed.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      fn(n - 1 - k);
+    }
+  };
+  std::vector<std::thread> threads(std::min(static_cast<std::size_t>(jobs), n));
+  for (std::thread& t : threads) t = std::thread(worker);
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace ndc::harness

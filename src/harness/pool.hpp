@@ -1,65 +1,21 @@
 #pragma once
 
-// A small work-stealing thread pool for fanning independent simulation
-// cells out across cores. Tasks are dealt round-robin onto per-worker
-// deques; a worker pops from the back of its own deque and, when empty,
-// steals from the front of a victim's. Simulation cells are coarse
-// (milliseconds to seconds), so the deques use plain mutexes rather than a
-// lock-free Chase-Lev structure — contention is negligible at this grain.
+// Fans independent simulation cells out across threads. Cells are coarse
+// (milliseconds to seconds), so one shared atomic index counter is all the
+// load balancing they need.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ndc::harness {
 
-class WorkStealingPool {
- public:
-  /// Spawns `num_threads` workers (clamped to >= 1). Workers idle until a
-  /// batch is submitted via Run().
-  explicit WorkStealingPool(int num_threads);
-  ~WorkStealingPool();
-
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Executes all tasks and blocks until every one has finished. Tasks may
-  /// run on any worker in any order; callers needing a deterministic result
-  /// order must index into a pre-sized output (tasks receive no ordering
-  /// guarantees). Reentrant Run() calls from inside a task are not allowed.
-  void Run(std::vector<std::function<void()>> tasks);
-
-  /// Convenience: runs fn(0..n-1) on a transient pool of `jobs` workers
-  /// when jobs > 1, or inline (in index order) when jobs <= 1.
-  static void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
-
- private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(std::size_t self);
-  bool PopOrSteal(std::size_t self, std::function<void()>* out);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex run_mu_;                 ///< serializes concurrent Run() calls
-  std::mutex mu_;
-  std::condition_variable work_cv_;   ///< wakes workers on a new batch / stop
-  std::condition_variable done_cv_;   ///< wakes Run() when the batch drains
-  std::size_t pending_ = 0;           ///< tasks not yet finished
-  std::atomic<std::size_t> queued_{0};  ///< tasks still sitting in deques
-  bool stop_ = false;
-};
+/// Runs fn(0..n-1) and returns once every call has finished. With jobs <= 1
+/// (or n <= 1) the calls run inline on the calling thread in index order.
+/// Otherwise min(jobs, n) threads claim indices from one counter, highest
+/// index first (on the Figure-4 sweep this peaks lower in memory than
+/// claiming upward). Calls get no ordering guarantee across threads, so a
+/// caller needing a deterministic result must write into a pre-sized output
+/// indexed by i.
+void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ndc::harness

@@ -139,7 +139,7 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
       out.cells[i] = std::move(r);
       if (progress != nullptr) progress->CellDone();
     };
-    WorkStealingPool::ParallelFor(opt.jobs, misses.size(), run_one);
+    ParallelFor(opt.jobs, misses.size(), run_one);
   }
 
   out.summary.elapsed_ms = static_cast<std::uint64_t>(

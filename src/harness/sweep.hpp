@@ -1,7 +1,7 @@
 #pragma once
 
 // The sweep engine: fans a declarative SweepSpec (a list of fully resolved
-// cells) out across a work-stealing thread pool, consults the persistent
+// cells) out across a thread pool (ParallelFor), consults the persistent
 // result cache before invoking the simulator, and returns results in spec
 // order — so a parallel sweep is cell-for-cell identical to a serial one.
 

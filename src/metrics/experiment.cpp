@@ -1,8 +1,5 @@
 #include "metrics/experiment.hpp"
 
-#include <iomanip>
-#include <sstream>
-
 #include "compiler/codegen.hpp"
 #include "obs/phase.hpp"
 #include "workloads/sharded.hpp"
@@ -187,15 +184,6 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
   out.run = RunTraces(cfg, traces, mopts, /*with_faults=*/true);
   out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
   return out;
-}
-
-std::string FormatRow(const std::vector<std::string>& cells, int width) {
-  std::ostringstream os;
-  for (const std::string& c : cells) {
-    os << "| " << std::setw(width) << c << " ";
-  }
-  os << "|";
-  return os.str();
 }
 
 }  // namespace ndc::metrics

@@ -113,7 +113,4 @@ class Experiment {
 /// the paper's "performance improvement").
 double ImprovementPct(sim::Cycle base, sim::Cycle t);
 
-/// Formats a markdown-style table row.
-std::string FormatRow(const std::vector<std::string>& cells, int width = 11);
-
 }  // namespace ndc::metrics

@@ -553,7 +553,7 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   // conventionally (the last gate that flipped the decision).
   obs::DecisionKind why = obs::DecisionKind::kDeclined;
   std::int8_t why_loc = -1;
-  if (cand.is_precompute && opts_.honor_precompute) {
+  if (cand.is_precompute) {
     const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
     std::uint8_t allowed = inst->feasible_mask & cfg_.control_register;
     if (allowed & arch::LocBit(site.planned_loc)) {

@@ -1,5 +1,5 @@
 // src/harness unit tests: the JSON codec, cache-key semantics, CellResult
-// round-tripping, the on-disk result cache, the work-stealing pool, and the
+// round-tripping, the on-disk result cache, ParallelFor, and the
 // warm-sweep zero-simulation guarantee.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/cache.hpp"
 #include "harness/figures.hpp"
@@ -202,28 +204,48 @@ TEST(ResultCache, CorruptLinesAreCountedAndSkipped) {
 
 // ---------------------------------------------------------------- pool ---
 
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
+TEST(ParallelFor, RunsEveryTaskExactlyOnce) {
   std::atomic<int> counter{0};
   std::vector<std::atomic<int>> per_task(257);
   for (auto& t : per_task) t = 0;
-  WorkStealingPool pool(4);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < per_task.size(); ++i) {
-    tasks.push_back([&, i] {
-      per_task[i].fetch_add(1);
-      counter.fetch_add(1);
-    });
-  }
-  pool.Run(std::move(tasks));
+  ParallelFor(4, per_task.size(), [&](std::size_t i) {
+    per_task[i].fetch_add(1);
+    counter.fetch_add(1);
+  });
   EXPECT_EQ(counter.load(), 257);
   for (auto& t : per_task) EXPECT_EQ(t.load(), 1);
 }
 
-TEST(WorkStealingPool, ParallelForCoversTheFullIndexRange) {
+TEST(ParallelFor, CoversTheFullIndexRange) {
   std::vector<std::atomic<int>> hits(100);
   for (auto& h : hits) h = 0;
-  WorkStealingPool::ParallelFor(3, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(3, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ZeroIndicesNeverCallsFn) {
+  std::atomic<int> calls{0};
+  for (int jobs : {1, 4}) ParallelFor(jobs, 0, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelFor, MoreJobsThanIndicesRunsEachOnce) {
+  std::vector<std::atomic<int>> hits(3);
+  for (auto& h : hits) h = 0;
+  ParallelFor(16, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, OneJobRunsInIndexOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  ParallelFor(1, 5, [&](std::size_t i) {
+    order.push_back(i);
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all_on_caller);
 }
 
 // --------------------------------------------------------------- sweep ---

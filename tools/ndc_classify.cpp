@@ -19,6 +19,8 @@
 //                [--only=NAME] [--window=CYCLES] [--seed=N] [--json=FILE]
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +57,20 @@ struct ClassifyArgs {
   std::exit(2);
 }
 
+/// Parses a positive decimal flag value; an empty value, a sign, trailing
+/// characters, zero or an out-of-range value is a usage error.
+std::uint64_t ParsePositive(const char* flag, const char* s) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long n = std::strtoull(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+      n == 0) {
+    std::fprintf(stderr, "ndc-classify: %s expects a positive integer, got '%s'\n", flag, s);
+    UsageAndExit();
+  }
+  return n;
+}
+
 ClassifyArgs Parse(int argc, char** argv) {
   ClassifyArgs a;
   for (int i = 1; i < argc; ++i) {
@@ -75,21 +91,9 @@ ClassifyArgs Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--only=", 7) == 0) {
       a.only = arg + 7;
     } else if (std::strncmp(arg, "--window=", 9) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 9, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "ndc-classify: --window expects a positive cycle count\n");
-        UsageAndExit();
-      }
-      a.window = n;
+      a.window = ParsePositive("--window", arg + 9);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "ndc-classify: --seed expects a positive integer\n");
-        UsageAndExit();
-      }
-      a.seed = n;
+      a.seed = ParsePositive("--seed", arg + 7);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       a.json_path = arg + 7;
     } else {

@@ -1,7 +1,7 @@
 // ndc-sweep — regenerate any paper figure's experiment grid by name.
 //
-// Fans the figure's (workload x scheme x config) grid across a work-stealing
-// thread pool, consults the persistent on-disk result cache (.ndc-cache/),
+// Fans the figure's (workload x scheme x config) grid across --jobs threads,
+// consults the persistent on-disk result cache (.ndc-cache/),
 // and renders the figure's stdout table (tests/goldens/ at --scale=test).
 // A warm re-run of an already-measured grid performs zero simulator
 // invocations; --require-all-hits turns that into an enforced exit status
@@ -34,6 +34,8 @@
 //             [--faults=FILE|JSON] [--fault-intensity=X[,Y,...]]
 //   ndc-sweep --list
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -149,12 +151,15 @@ SweepArgs Parse(int argc, char** argv) {
         a.opt.classify_window = ndc::harness::kDefaultClassifyWindow;
       }
     } else if (std::strncmp(arg, "--classify-window=", 18) == 0) {
+      const char* s = arg + 18;
       char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 18, &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
+      errno = 0;
+      unsigned long long n = std::strtoull(s, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+          n == 0) {
         std::fprintf(stderr,
                      "ndc-sweep: --classify-window expects a positive cycle count, got '%s'\n",
-                     arg + 18);
+                     s);
         UsageAndExit();
       }
       a.opt.classify_window = static_cast<std::uint64_t>(n);

@@ -19,6 +19,7 @@
 //             [--trace=FILE] [--decisions=FILE]
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -85,11 +86,16 @@ bool ParseScheme(const std::string& name, Scheme* out) {
   return false;
 }
 
-std::uint64_t ParseU64(const char* flag, const char* s) {
+/// Parses a decimal flag value in [min, UINT64_MAX]; an empty value, a
+/// sign, trailing characters or an out-of-range value is a usage error.
+std::uint64_t ParseU64(const char* flag, const char* s, std::uint64_t min) {
   char* end = nullptr;
+  errno = 0;
   unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == nullptr || *end != '\0' || s[0] == '\0') {
-    std::fprintf(stderr, "ndc-trace: %s expects an integer, got '%s'\n", flag, s);
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+      v < min) {
+    std::fprintf(stderr, "ndc-trace: %s expects an integer >= %llu, got '%s'\n", flag,
+                 static_cast<unsigned long long>(min), s);
     UsageAndExit();
   }
   return v;
@@ -114,12 +120,11 @@ TraceArgs Parse(int argc, char** argv) {
                    arg + 8);
       UsageAndExit();
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      a.seed = ParseU64("--seed", arg + 7);
+      a.seed = ParseU64("--seed", arg + 7, 0);
     } else if (std::strncmp(arg, "--sample=", 9) == 0) {
-      a.sample = ParseU64("--sample", arg + 9);
-      if (a.sample == 0) a.sample = 1;
+      a.sample = ParseU64("--sample", arg + 9, 1);
     } else if (std::strncmp(arg, "--max-events=", 13) == 0) {
-      a.max_events = static_cast<std::size_t>(ParseU64("--max-events", arg + 13));
+      a.max_events = static_cast<std::size_t>(ParseU64("--max-events", arg + 13, 0));
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
       a.trace_path = arg + 8;
     } else if (std::strncmp(arg, "--decisions=", 12) == 0) {
