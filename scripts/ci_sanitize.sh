@@ -5,8 +5,12 @@
 #     ndc-lint, which is registered with ctest).
 #   thread: TSan over the only threading in the program, the sweep's
 #     ParallelFor threads — the harness tests (ParallelFor's own cases
-#     included) and one figure regenerated at --jobs=1 and --jobs=4, whose
-#     stdout must be byte-identical.
+#     included) and two figures regenerated at --jobs=1 and --jobs=4, whose
+#     stdout must be byte-identical. Both read profile runs shared across
+#     concurrent cells: fig04's Oracle/Wait cells share each kernel's
+#     observe run, and abl's cells, which vary coarse_grain and
+#     allow_reroute over one kernel and configuration, share its baseline
+#     run.
 #
 # Usage: scripts/ci_sanitize.sh [address|thread] [build-dir]
 #        (default build-dir: build-sanitize for address, build-tsan for thread)
@@ -46,13 +50,15 @@ export TSAN_OPTIONS="halt_on_error=1"
 
 if [ "$MODE" = "thread" ]; then
   "$BUILD_DIR"/tests/harness_test
-  # One figure end-to-end through the sweep pool: stdout must not depend
-  # on the worker count.
-  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
-    --jobs=1 > "$BUILD_DIR/fig04-j1.txt" 2>/dev/null
-  "$BUILD_DIR"/tools/ndc-sweep --figure=fig04 --scale=test --no-cache \
-    --jobs=4 > "$BUILD_DIR/fig04-j4.txt" 2>/dev/null
-  diff -u "$BUILD_DIR/fig04-j1.txt" "$BUILD_DIR/fig04-j4.txt"
+  # Figures end-to-end through the sweep pool: stdout must not depend on
+  # the worker count.
+  for fig in fig04 abl; do
+    "$BUILD_DIR"/tools/ndc-sweep --figure="$fig" --scale=test --no-cache \
+      --jobs=1 > "$BUILD_DIR/$fig-j1.txt" 2>/dev/null
+    "$BUILD_DIR"/tools/ndc-sweep --figure="$fig" --scale=test --no-cache \
+      --jobs=4 > "$BUILD_DIR/$fig-j4.txt" 2>/dev/null
+    diff -u "$BUILD_DIR/$fig-j1.txt" "$BUILD_DIR/$fig-j4.txt"
+  done
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 fi

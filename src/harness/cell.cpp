@@ -31,6 +31,11 @@ std::string CellSpec::SchemeLabel() const {
   return metrics::SchemeName(scheme);
 }
 
+bool CellSpec::Compiled() const {
+  return coarse_grain || scheme == metrics::Scheme::kAlgorithm1 ||
+         scheme == metrics::Scheme::kAlgorithm2;
+}
+
 namespace {
 
 void AppendField(std::string& out, const char* name, std::uint64_t v) {
@@ -203,9 +208,7 @@ namespace {
 
 /// The compiled-vs-policy dispatch shared by RunCell and RunCellObsSummary.
 metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
-  bool compiled = spec.coarse_grain || spec.scheme == metrics::Scheme::kAlgorithm1 ||
-                  spec.scheme == metrics::Scheme::kAlgorithm2;
-  if (compiled) {
+  if (spec.Compiled()) {
     compiler::CompileOptions opt;
     opt.mode = spec.coarse_grain ? compiler::Mode::kCoarseGrain
                : spec.scheme == metrics::Scheme::kAlgorithm2
@@ -220,14 +223,15 @@ metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
 
 }  // namespace
 
-CellResult RunCell(const CellSpec& spec) {
+CellResult RunCell(const CellSpec& spec, const CellProfiles& profiles) {
   metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
+  exp.AdoptProfiles(profiles.baseline, profiles.observe);
   if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
   metrics::SchemeResult r = RunSpec(exp, spec);
 
   CellResult out;
   out.makespan = r.run.makespan;
-  out.baseline_makespan = exp.Baseline().makespan;
+  out.baseline_makespan = exp.BaselineMakespan();
   out.l1_hits = r.run.l1_hits;
   out.l1_misses = r.run.l1_misses;
   out.l2_hits = r.run.l2_hits;

@@ -1,9 +1,12 @@
 #pragma once
 
 // One sweep cell = one (workload, scheme, scale, configuration) simulation.
-// A cell is fully self-contained: it builds its own metrics::Experiment from
-// a deterministic seed, so cells can run on any thread in any order and
-// still produce results byte-identical to a serial run.
+// A cell builds its own metrics::Experiment from a deterministic seed. The
+// only thing it may share is a profile run (baseline or observe) that the
+// sweep simulated once for every cell with the same workload and
+// configuration; cells only read it. So cells can run on any thread in any
+// order and still produce results byte-identical to a serial run of each
+// cell alone.
 
 #include <array>
 #include <cstdint>
@@ -59,6 +62,10 @@ struct CellSpec {
   /// Scheme column label ("Oracle", "Algorithm-1", "coarse", ...).
   std::string SchemeLabel() const;
 
+  /// True when the measured run executes a compiled program (Algorithm-1/2
+  /// or coarse-grain) rather than the original one under a runtime policy.
+  bool Compiled() const;
+
   /// Canonical serialization of every semantically relevant field
   /// (including the full ArchConfig); the cache-key hash input.
   std::string CanonicalString() const;
@@ -103,10 +110,19 @@ struct CellResult {
   bool operator==(const CellResult& o) const;
 };
 
-/// Executes the cell: baseline run + the scheme's run (plus the observation
-/// run where the scheme needs a profile). Thread-safe with respect to other
-/// cells — the simulator has no global mutable state.
-CellResult RunCell(const CellSpec& spec);
+/// Profile runs simulated once for a group of cells that share them (see
+/// RunSweep). A null pointer means the cell simulates that run itself.
+struct CellProfiles {
+  const runtime::RunResult* baseline = nullptr;
+  const runtime::RunResult* observe = nullptr;
+};
+
+/// Executes the cell: the scheme's run, the observation run where the scheme
+/// needs a profile, and the baseline run unless the observe run stands in for
+/// it — minus whatever `profiles` supplies. Thread-safe with respect to other
+/// cells: the simulator has no global mutable state, and the profiles are
+/// only read.
+CellResult RunCell(const CellSpec& spec, const CellProfiles& profiles = {});
 
 /// Re-simulates the cell with an observation bundle attached and returns a
 /// JSON summary: per-stage latency aggregates, request counts, and the NDC

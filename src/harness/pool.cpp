@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -13,14 +15,23 @@ void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>
     return;
   }
   std::atomic<std::size_t> claimed{0};
+  std::mutex error_mu;
+  std::exception_ptr error;  // the first exception a call threw
   auto worker = [&] {
     for (std::size_t k; (k = claimed.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      fn(n - 1 - k);
+      try {
+        fn(n - 1 - k);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (error == nullptr) error = std::current_exception();
+        claimed.store(n, std::memory_order_relaxed);  // claim nothing more
+      }
     }
   };
   std::vector<std::thread> threads(std::min(static_cast<std::size_t>(jobs), n));
   for (std::thread& t : threads) t = std::thread(worker);
   for (std::thread& t : threads) t.join();
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace ndc::harness

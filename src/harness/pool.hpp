@@ -15,7 +15,9 @@ namespace ndc::harness {
 /// index first (on the Figure-4 sweep this peaks lower in memory than
 /// claiming upward). Calls get no ordering guarantee across threads, so a
 /// caller needing a deterministic result must write into a pre-sized output
-/// indexed by i.
+/// indexed by i. If a call throws, no further indices are claimed and the
+/// first exception is rethrown on the calling thread once every thread has
+/// finished.
 void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ndc::harness

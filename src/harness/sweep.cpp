@@ -7,9 +7,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "harness/pool.hpp"
 #include "obs/phase.hpp"
@@ -33,6 +36,11 @@ json::Value SweepSummary::ToJson() const {
   if (sim_events > 0) {
     v.obj["sim_events"] = json::Value::Int(sim_events);
     v.obj["sim_events_per_sec"] = json::Value::Double(sim_events_per_sec);
+  }
+  if (!runs.empty()) {
+    json::Value r = json::Value::Object();
+    for (const auto& [kind, n] : runs) r.obj[kind] = json::Value::Int(n);
+    v.obj["runs"] = std::move(r);
   }
   return v;
 }
@@ -99,6 +107,30 @@ class ProgressReporter {
   std::thread thread_;
 };
 
+/// What a cell's profile runs depend on: CanonicalString() with the fields
+/// that only shape the measured run reset. Faults are reset too, because
+/// profile runs are never faulted. Every cfg field stays in the key.
+std::string ProfileKey(const CellSpec& cell) {
+  CellSpec c = cell;
+  c.scheme = metrics::Scheme::kBaseline;
+  c.coarse_grain = false;
+  c.allow_reroute = true;
+  c.control_register = arch::kAllLocs;
+  c.faults = {};
+  return c.CanonicalString();
+}
+
+/// Missed cells with one ProfileKey, and the profile runs they share.
+struct ProfileGroup {
+  std::vector<std::size_t> cells;  ///< spec indices, in spec order
+  bool share_baseline = false, share_observe = false;
+  runtime::RunResult baseline, observe;
+
+  CellProfiles Profiles() const {
+    return {share_baseline ? &baseline : nullptr, share_observe ? &observe : nullptr};
+  }
+};
+
 }  // namespace
 
 SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
@@ -132,9 +164,50 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
       progress = std::make_unique<ProgressReporter>(spec.figure, misses.size(),
                                                     out.summary.cache_hits);
     }
+
+    // Group the misses by profile key. A group of two or more cells gets the
+    // profile runs it needs simulated once, up front: the observe run if any
+    // cell's policy reads it, and the baseline run if a cell reports the
+    // baseline itself or no observe run can stand in for its makespan. A
+    // lone cell simulates its own profiles in RunCell.
+    std::vector<ProfileGroup> groups;
+    std::vector<std::size_t> group_of(misses.size());
+    {
+      std::map<std::string, std::size_t> index;
+      for (std::size_t mi = 0; mi < misses.size(); ++mi) {
+        auto [it, fresh] = index.try_emplace(ProfileKey(spec.cells[misses[mi]]), groups.size());
+        if (fresh) groups.emplace_back();
+        groups[it->second].cells.push_back(misses[mi]);
+        group_of[mi] = it->second;
+      }
+    }
+    std::vector<std::pair<ProfileGroup*, obs::RunKind>> profile_runs;
+    for (ProfileGroup& g : groups) {
+      if (g.cells.size() < 2) continue;
+      for (std::size_t i : g.cells) {
+        const CellSpec& c = spec.cells[i];
+        if (c.Compiled()) continue;
+        g.share_observe |= metrics::UsesObserveRun(c.scheme);
+        g.share_baseline |= c.scheme == metrics::Scheme::kBaseline;
+      }
+      g.share_baseline |= !g.share_observe;
+      if (g.share_observe) profile_runs.emplace_back(&g, obs::RunKind::kObserve);
+      if (g.share_baseline) profile_runs.emplace_back(&g, obs::RunKind::kBaseline);
+    }
+    ParallelFor(opt.jobs, profile_runs.size(), [&](std::size_t k) {
+      auto [g, kind] = profile_runs[k];
+      const CellSpec& c = spec.cells[g->cells.front()];
+      metrics::Experiment exp(c.workload, c.scale, c.cfg, c.seed);
+      if (kind == obs::RunKind::kObserve) {
+        g->observe = exp.Observe();
+      } else {
+        g->baseline = exp.Baseline();
+      }
+    });
+
     auto run_one = [&](std::size_t mi) {
       std::size_t i = misses[mi];
-      CellResult r = RunCell(spec.cells[i]);
+      CellResult r = RunCell(spec.cells[i], groups[group_of[mi]].Profiles());
       if (cache != nullptr) cache->Insert(spec.cells[i], r);
       out.cells[i] = std::move(r);
       if (progress != nullptr) progress->CellDone();
@@ -149,6 +222,7 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
   obs::PhaseProfiler::Snapshot phase_now = obs::GlobalPhases().Take();
   out.summary.phase_ms = phase_now.DeltaMsSince(phase_base);
   out.summary.sim_events = phase_now.sim_events - phase_base.sim_events;
+  out.summary.runs = phase_now.RunsSince(phase_base);
   constexpr int kSim = static_cast<int>(obs::Phase::kSimulate);
   std::uint64_t sim_ns = phase_now.ns[kSim] - phase_base.ns[kSim];
   if (out.summary.sim_events > 0 && sim_ns > 0) {

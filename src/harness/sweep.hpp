@@ -2,8 +2,10 @@
 
 // The sweep engine: fans a declarative SweepSpec (a list of fully resolved
 // cells) out across a thread pool (ParallelFor), consults the persistent
-// result cache before invoking the simulator, and returns results in spec
-// order — so a parallel sweep is cell-for-cell identical to a serial one.
+// result cache before invoking the simulator, simulates each profile run
+// (baseline, observe) once for all the cells that share it, and returns
+// results in spec order — so a parallel sweep is cell-for-cell identical to
+// a serial one, and to each cell run alone.
 
 #include <cstdint>
 #include <map>
@@ -48,6 +50,10 @@ struct SweepSummary {
   /// keys in that case (byte-stable with pre-observability output).
   std::uint64_t sim_events = 0;
   double sim_events_per_sec = 0.0;
+  /// Machine runs performed during this sweep, keyed by obs::RunKindName
+  /// (baseline, observe, policy, compiled). Empty when NDC_OBS=OFF or every
+  /// cell was a cache hit; the summary JSON omits the "runs" key then.
+  std::map<std::string, std::uint64_t> runs;
 
   json::Value ToJson() const;
 };

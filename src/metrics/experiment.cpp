@@ -1,5 +1,7 @@
 #include "metrics/experiment.hpp"
 
+#include <stdexcept>
+
 #include "compiler/codegen.hpp"
 #include "obs/phase.hpp"
 #include "workloads/sharded.hpp"
@@ -21,6 +23,11 @@ const char* SchemeName(Scheme s) {
     case Scheme::kAlgorithm2: return "Algorithm-2";
   }
   return "?";
+}
+
+bool UsesObserveRun(Scheme s) {
+  return s == Scheme::kOracle || s == Scheme::kWait5 || s == Scheme::kWait10 ||
+         s == Scheme::kWait25 || s == Scheme::kWait50;
 }
 
 double ImprovementPct(sim::Cycle base, sim::Cycle t) {
@@ -51,7 +58,8 @@ const std::vector<arch::Trace>& Experiment::BaselineTraces() {
 
 runtime::RunResult Experiment::RunTraces(const arch::ArchConfig& cfg,
                                          const std::vector<arch::Trace>& traces,
-                                         runtime::MachineOptions opts, bool with_faults) {
+                                         runtime::MachineOptions opts, obs::RunKind kind,
+                                         bool with_faults) {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
   // A fresh injector per measured run: its RNG restarts from the schedule
   // seed, so the same (workload, schedule) pair is identically faulted every
@@ -64,18 +72,26 @@ runtime::RunResult Experiment::RunTraces(const arch::ArchConfig& cfg,
   runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
   runtime::RunResult r = m.Run();
+  // No request may be lost, faulted or not: the check reads O(cores + MCs)
+  // end-of-run counters, so every run pays for it.
+  fault::ConservationInputs cons = m.GatherConservation();
+  fault::ConservationReport report = fault::CheckConservation(cons);
+  if (!report.ok) {
+    throw std::logic_error(workload_ + ": " + obs::RunKindName(kind) +
+                           " run broke request conservation: " + report.ToString());
+  }
   if (inj != nullptr) {
-    last_conservation_ = m.GatherConservation();
+    last_conservation_ = cons;
     last_injections_ = inj->counts();
     have_fault_report_ = true;
   }
-  if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddSimEvents(r.events);
+  if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddRun(kind, r.events);
   return r;
 }
 
 const runtime::RunResult& Experiment::Baseline() {
   if (!have_baseline_) {
-    baseline_ = RunTraces(cfg_, BaselineTraces(), {});
+    baseline_ = RunTraces(cfg_, BaselineTraces(), {}, obs::RunKind::kBaseline);
     have_baseline_ = true;
   }
   return baseline_;
@@ -85,16 +101,31 @@ const runtime::RunResult& Experiment::Observe() {
   if (!have_observe_) {
     runtime::MachineOptions opts;
     opts.observe = true;
-    observe_ = RunTraces(cfg_, BaselineTraces(), opts);
+    observe_ = RunTraces(cfg_, BaselineTraces(), opts, obs::RunKind::kObserve);
     have_observe_ = true;
   }
   return observe_;
 }
 
+sim::Cycle Experiment::BaselineMakespan() {
+  return have_observe_ ? observe_.makespan : Baseline().makespan;
+}
+
+void Experiment::AdoptProfiles(const runtime::RunResult* baseline,
+                               const runtime::RunResult* observe) {
+  if (baseline != nullptr) {
+    baseline_ = *baseline;
+    have_baseline_ = true;
+  }
+  if (observe != nullptr) {
+    observe_ = *observe;
+    have_observe_ = true;
+  }
+}
+
 SchemeResult Experiment::Run(Scheme scheme) {
   SchemeResult out;
   out.scheme = scheme;
-  const runtime::RunResult& base = Baseline();
 
   switch (scheme) {
     case Scheme::kBaseline:
@@ -104,11 +135,12 @@ SchemeResult Experiment::Run(Scheme scheme) {
         // scheme.
         runtime::MachineOptions bopts;
         bopts.obs = obs_;
-        out.run = RunTraces(cfg_, BaselineTraces(), bopts, /*with_faults=*/true);
+        out.run = RunTraces(cfg_, BaselineTraces(), bopts, obs::RunKind::kBaseline,
+                            /*with_faults=*/true);
       } else {
-        out.run = base;
+        out.run = Baseline();
       }
-      out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
+      out.improvement_pct = ImprovementPct(BaselineMakespan(), out.run.makespan);
       return out;
     case Scheme::kAlgorithm1: {
       compiler::CompileOptions opt;
@@ -156,8 +188,9 @@ SchemeResult Experiment::Run(Scheme scheme) {
   runtime::MachineOptions opts;
   opts.policy = policy.get();
   opts.obs = obs_;
-  out.run = RunTraces(cfg_, BaselineTraces(), opts, /*with_faults=*/true);
-  out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
+  out.run = RunTraces(cfg_, BaselineTraces(), opts, obs::RunKind::kPolicy,
+                      /*with_faults=*/true);
+  out.improvement_pct = ImprovementPct(BaselineMakespan(), out.run.makespan);
   return out;
 }
 
@@ -165,7 +198,6 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
   SchemeResult out;
   out.scheme = opt.mode == compiler::Mode::kAlgorithm2 ? Scheme::kAlgorithm2
                                                        : Scheme::kAlgorithm1;
-  const runtime::RunResult& base = Baseline();
   // Compile mutates its input program, so copy the cached build instead of
   // regenerating the workload from scratch.
   ir::Program prog = base_program_;
@@ -181,8 +213,8 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
   }
   runtime::MachineOptions mopts;
   mopts.obs = obs_;
-  out.run = RunTraces(cfg, traces, mopts, /*with_faults=*/true);
-  out.improvement_pct = ImprovementPct(base.makespan, out.run.makespan);
+  out.run = RunTraces(cfg, traces, mopts, obs::RunKind::kCompiled, /*with_faults=*/true);
+  out.improvement_pct = ImprovementPct(BaselineMakespan(), out.run.makespan);
   return out;
 }
 

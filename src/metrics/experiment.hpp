@@ -9,6 +9,7 @@
 #include "ndc/machine.hpp"
 #include "ndc/policy.hpp"
 #include "obs/obs.hpp"
+#include "obs/phase.hpp"
 #include "workloads/workloads.hpp"
 
 namespace ndc::metrics {
@@ -30,6 +31,10 @@ enum class Scheme {
 
 const char* SchemeName(Scheme s);
 
+/// True for the schemes whose policy is built from the observe run's
+/// records (Oracle and Wait(x%)).
+bool UsesObserveRun(Scheme s);
+
 /// Everything measured for one (workload, scheme) run.
 struct SchemeResult {
   Scheme scheme = Scheme::kBaseline;
@@ -39,7 +44,9 @@ struct SchemeResult {
 };
 
 /// A workload prepared for experiments: baseline + observation runs are
-/// cached so that multiple schemes can reuse the profile.
+/// cached so that multiple schemes can reuse the profile. The caches can also
+/// be seeded with runs simulated elsewhere (AdoptProfiles), which is how a
+/// sweep simulates each profile once for all the cells that share it.
 class Experiment {
  public:
   Experiment(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
@@ -54,6 +61,19 @@ class Experiment {
   /// Observation run over the original program (Section 4 quantification);
   /// cached. Timing-identical to the baseline.
   const runtime::RunResult& Observe();
+
+  /// The baseline makespan. Taken from the observe run when that run is
+  /// cached (observe is timing-identical to the baseline), so a
+  /// profile-driven scheme never simulates the baseline as well; otherwise
+  /// Baseline().makespan.
+  sim::Cycle BaselineMakespan();
+
+  /// Seeds the baseline and observe caches with runs simulated by another
+  /// Experiment over the same workload, scale, seed and configuration. A
+  /// null pointer leaves that cache as it is. The records are shared, not
+  /// copied: policies only read them, so one observe run can serve cells on
+  /// several threads.
+  void AdoptProfiles(const runtime::RunResult* baseline, const runtime::RunResult* observe);
 
   /// Runs one scheme and reports improvement vs the baseline.
   SchemeResult Run(Scheme scheme);
@@ -86,11 +106,14 @@ class Experiment {
 
  private:
   /// The one simulation entry point: runs `traces` on a fresh Machine built
-  /// from `cfg`. `with_faults` marks a measured run, which gets a fresh
-  /// injector from the attached schedule and records the fault report.
+  /// from `cfg`, counts the run as `kind`, and checks request conservation
+  /// (throws std::logic_error on a violation). `with_faults` marks a
+  /// measured run, which gets a fresh injector from the attached schedule
+  /// and records the fault report.
   runtime::RunResult RunTraces(const arch::ArchConfig& cfg,
                                const std::vector<arch::Trace>& traces,
-                               runtime::MachineOptions opts, bool with_faults = false);
+                               runtime::MachineOptions opts, obs::RunKind kind,
+                               bool with_faults = false);
 
   std::string workload_;
   workloads::Scale scale_;

@@ -16,6 +16,16 @@ const char* PhaseName(Phase p) {
   return "?";
 }
 
+const char* RunKindName(RunKind k) {
+  switch (k) {
+    case RunKind::kBaseline: return "baseline";
+    case RunKind::kObserve: return "observe";
+    case RunKind::kPolicy: return "policy";
+    case RunKind::kCompiled: return "compiled";
+  }
+  return "?";
+}
+
 std::map<std::string, std::uint64_t> PhaseProfiler::Snapshot::DeltaMsSince(
     const Snapshot& base) const {
   std::map<std::string, std::uint64_t> out;
@@ -24,6 +34,19 @@ std::map<std::string, std::uint64_t> PhaseProfiler::Snapshot::DeltaMsSince(
     if (d == 0 && count[i] == base.count[i]) continue;
     out[PhaseName(static_cast<Phase>(i))] = d / 1000000;
   }
+  return out;
+}
+
+std::map<std::string, std::uint64_t> PhaseProfiler::Snapshot::RunsSince(
+    const Snapshot& base) const {
+  std::map<std::string, std::uint64_t> out;
+  std::uint64_t total = 0;
+  for (int k = 0; k < kNumRunKinds; ++k) {
+    std::uint64_t d = runs[k] - base.runs[k];
+    out[RunKindName(static_cast<RunKind>(k))] = d;
+    total += d;
+  }
+  if (total == 0) out.clear();
   return out;
 }
 

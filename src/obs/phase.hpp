@@ -33,6 +33,17 @@ inline constexpr int kNumPhases = 6;
 
 const char* PhaseName(Phase p);
 
+/// The kinds of Machine run an experiment performs (SweepSummary.runs).
+enum class RunKind : std::uint8_t {
+  kBaseline = 0,  ///< conventional run of the original program
+  kObserve,       ///< observation profile run (Oracle, Wait(x%))
+  kPolicy,        ///< runtime-policy scheme run
+  kCompiled,      ///< run of a compiled program (Algorithm-1/2, coarse-grain)
+};
+inline constexpr int kNumRunKinds = 4;
+
+const char* RunKindName(RunKind k);
+
 class PhaseProfiler {
  public:
   void Add(Phase p, std::uint64_t ns) {
@@ -40,11 +51,13 @@ class PhaseProfiler {
     slots_[static_cast<int>(p)].count.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Simulated events retired inside kSimulate scopes (reported by the
-  /// experiment layer after each Machine::Run). Together with the kSimulate
-  /// wall clock this yields the substrate's end-to-end events/sec.
-  void AddSimEvents(std::uint64_t n) {
-    sim_events_.fetch_add(n, std::memory_order_relaxed);
+  /// One finished Machine run of kind `k` that retired `events` simulated
+  /// events inside a kSimulate scope (reported by the experiment layer after
+  /// each Machine::Run). Together with the kSimulate wall clock the events
+  /// yield the substrate's end-to-end events/sec.
+  void AddRun(RunKind k, std::uint64_t events) {
+    runs_[static_cast<int>(k)].fetch_add(1, std::memory_order_relaxed);
+    sim_events_.fetch_add(events, std::memory_order_relaxed);
   }
   std::uint64_t sim_events() const {
     return sim_events_.load(std::memory_order_relaxed);
@@ -61,10 +74,16 @@ class PhaseProfiler {
     std::uint64_t ns[kNumPhases] = {};
     std::uint64_t count[kNumPhases] = {};
     std::uint64_t sim_events = 0;
+    std::uint64_t runs[kNumRunKinds] = {};
 
     /// Per-phase milliseconds since `base`, keyed by phase name; phases with
     /// no delta are omitted. Used for SweepSummary.phase_ms.
     std::map<std::string, std::uint64_t> DeltaMsSince(const Snapshot& base) const;
+
+    /// Machine runs since `base`, keyed by RunKindName: every kind (zeros
+    /// included) when any run finished, empty otherwise. Used for
+    /// SweepSummary.runs.
+    std::map<std::string, std::uint64_t> RunsSince(const Snapshot& base) const;
   };
   Snapshot Take() const {
     Snapshot s;
@@ -73,6 +92,9 @@ class PhaseProfiler {
       s.count[i] = slots_[i].count.load(std::memory_order_relaxed);
     }
     s.sim_events = sim_events_.load(std::memory_order_relaxed);
+    for (int k = 0; k < kNumRunKinds; ++k) {
+      s.runs[k] = runs_[k].load(std::memory_order_relaxed);
+    }
     return s;
   }
 
@@ -82,6 +104,7 @@ class PhaseProfiler {
       s.count.store(0, std::memory_order_relaxed);
     }
     sim_events_.store(0, std::memory_order_relaxed);
+    for (auto& r : runs_) r.store(0, std::memory_order_relaxed);
   }
 
   /// "phase  ms  scopes" table over all phases with activity.
@@ -94,6 +117,7 @@ class PhaseProfiler {
   };
   Slot slots_[kNumPhases];
   std::atomic<std::uint64_t> sim_events_{0};
+  std::atomic<std::uint64_t> runs_[kNumRunKinds];  // zero-initialized (C++20)
 };
 
 /// The process-wide profiler every ScopedPhase reports into.

@@ -1,11 +1,16 @@
-// metrics::Experiment unit tests: result caching semantics, ImprovementPct
-// edge cases, the cached-program fast path of RunCompiled, and cell-for-cell
+// metrics::Experiment unit tests: result caching semantics, the observe run
+// standing in for the baseline, ImprovementPct edge cases, the
+// cached-program fast path of RunCompiled, and cell-for-cell
 // determinism of a parallel harness sweep against a serial one.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "harness/sweep.hpp"
 #include "metrics/experiment.hpp"
+#include "obs/phase.hpp"
 
 namespace ndc::metrics {
 namespace {
@@ -29,6 +34,31 @@ TEST(Experiment, ObserveIsComputedOnceAndCached) {
   EXPECT_EQ(&a, &b);
   // Observation mode must not distort timing (Section 4's design point).
   EXPECT_EQ(a.makespan, exp.Baseline().makespan);
+}
+
+// A profile-driven scheme takes the baseline makespan from its observe run,
+// so Oracle followed by a compiled scheme never simulates the baseline.
+TEST(Experiment, ObserveStandsInForTheBaselineRun) {
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "run counters need NDC_OBS";
+  arch::ArchConfig cfg;
+  Experiment exp("md", Scale::kTest, cfg);
+  obs::PhaseProfiler::Snapshot before = obs::GlobalPhases().Take();
+  SchemeResult oracle = exp.Run(Scheme::kOracle);
+  compiler::CompileOptions opt;
+  opt.mode = compiler::Mode::kAlgorithm2;
+  SchemeResult alg2 = exp.RunCompiled(opt);
+  std::map<std::string, std::uint64_t> runs = obs::GlobalPhases().Take().RunsSince(before);
+  EXPECT_EQ(runs.at("baseline"), 0u);
+  EXPECT_EQ(runs.at("observe"), 1u);
+  EXPECT_EQ(runs.at("policy"), 1u);
+  EXPECT_EQ(runs.at("compiled"), 1u);
+
+  Experiment fresh("md", Scale::kTest, cfg);
+  EXPECT_EQ(exp.BaselineMakespan(), fresh.Baseline().makespan);
+  EXPECT_DOUBLE_EQ(oracle.improvement_pct,
+                   ImprovementPct(fresh.Baseline().makespan, oracle.run.makespan));
+  EXPECT_DOUBLE_EQ(alg2.improvement_pct,
+                   ImprovementPct(fresh.Baseline().makespan, alg2.run.makespan));
 }
 
 TEST(ImprovementPct, ZeroBaselineYieldsZeroNotDivisionByZero) {

@@ -1,6 +1,6 @@
 // src/harness unit tests: the JSON codec, cache-key semantics, CellResult
-// round-tripping, the on-disk result cache, ParallelFor, and the
-// warm-sweep zero-simulation guarantee.
+// round-tripping, the on-disk result cache, ParallelFor, the warm-sweep
+// zero-simulation guarantee, and profile runs shared across sweep cells.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "harness/pool.hpp"
 #include "harness/sweep.hpp"
 #include "json/json.hpp"
+#include "obs/enabled.hpp"
 
 namespace ndc::harness {
 namespace {
@@ -236,6 +238,20 @@ TEST(ParallelFor, MoreJobsThanIndicesRunsEachOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ParallelFor, RethrowsAThrowingCallOnTheCallingThread) {
+  for (int jobs : {1, 4}) {
+    std::atomic<int> calls{0};
+    EXPECT_THROW(ParallelFor(jobs, 64,
+                             [&](std::size_t i) {
+                               calls.fetch_add(1);
+                               if (i == 40) throw std::logic_error("cell 40");
+                             }),
+                 std::logic_error)
+        << "jobs=" << jobs;
+    EXPECT_GE(calls.load(), 1);
+  }
+}
+
 TEST(ParallelFor, OneJobRunsInIndexOrderOnTheCallingThread) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
@@ -299,6 +315,77 @@ TEST(Sweep, UncachedParallelMatchesSerial) {
   SweepResult b = RunSweep(spec, parallel);
   for (std::size_t i = 0; i < spec.cells.size(); ++i) {
     EXPECT_TRUE(a.cells[i] == b.cells[i]) << i;
+  }
+}
+
+// ----------------------------------------------------- shared profiles ---
+
+// RunSweep simulates each profile run once for every group of cells that
+// shares it. Each cell must still come out exactly as when run alone, at
+// any job count.
+TEST(Sweep, SharedProfilesMatchCellsRunAlone) {
+  using metrics::Scheme;
+  SweepSpec spec;
+  spec.figure = "shared-profiles";
+  auto add = [&](const char* workload, Scheme scheme) -> CellSpec& {
+    CellSpec& c = spec.cells.emplace_back();
+    c.workload = workload;
+    c.scale = workloads::Scale::kTest;
+    c.scheme = scheme;
+    return c;
+  };
+  for (const char* w : {"md", "fft"}) {
+    add(w, Scheme::kBaseline);
+    for (Scheme s : {Scheme::kDefault, Scheme::kOracle, Scheme::kWait5, Scheme::kWait10,
+                     Scheme::kWait25, Scheme::kWait50, Scheme::kLastWait, Scheme::kMarkov,
+                     Scheme::kAlgorithm1, Scheme::kAlgorithm2}) {
+      add(w, s);
+    }
+  }
+  add("md", Scheme::kAlgorithm1).coarse_grain = true;
+  {
+    fault::StormSpec storm;
+    arch::ArchConfig cfg;
+    storm.num_links = cfg.num_nodes() * 4;
+    storm.num_mcs = cfg.num_mcs;
+    storm.banks_per_mc = cfg.MakeAddressMap().banks_per_mc;
+    storm.horizon = 6000;
+    storm.intensity = 0.5;
+    storm.seed = 3;
+    add("md", Scheme::kOracle).faults = fault::MakeStorm(storm);
+    ASSERT_FALSE(spec.cells.back().faults.Empty());
+  }
+  for (Scheme s : {Scheme::kOracle, Scheme::kAlgorithm1}) {
+    CellSpec& c = add("md", s);
+    c.cfg.mesh_width = c.cfg.mesh_height = 6;
+  }
+  CellSpec& lone = add("fft", Scheme::kDefault);  // a group of one cell
+  lone.cfg.mesh_width = lone.cfg.mesh_height = 6;
+
+  std::vector<CellResult> alone;
+  for (const CellSpec& c : spec.cells) alone.push_back(RunCell(c));
+
+  for (int jobs : {1, 4}) {
+    SweepOptions opt;
+    opt.jobs = jobs;
+    opt.use_cache = false;
+    SweepResult r = RunSweep(spec, opt);
+    ASSERT_EQ(r.cells.size(), alone.size());
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      EXPECT_TRUE(r.cells[i] == alone[i]) << "jobs=" << jobs << " cell " << i << " "
+                                          << spec.cells[i].workload << "/"
+                                          << spec.cells[i].SchemeLabel();
+    }
+    if constexpr (obs::kObsEnabled) {
+      // Per default-config kernel: one observe and one baseline profile run
+      // (a Baseline cell is present), eight policy cells and the compiled
+      // ones; md adds coarse-grain and the faulted Oracle. The 6x6 md pair
+      // shares one observe run; the lone fft cell simulates its own
+      // baseline.
+      std::map<std::string, std::uint64_t> want = {
+          {"baseline", 3}, {"observe", 3}, {"policy", 19}, {"compiled", 6}};
+      EXPECT_EQ(r.summary.runs, want) << "jobs=" << jobs;
+    }
   }
 }
 
