@@ -18,15 +18,16 @@
 // With NDC_OBS=OFF there is nothing to sample; the binary prints a note
 // and exits 0 so generic bench invocations stay harmless.
 
-#include <cctype>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "compiler/codegen.hpp"
 #include "harness/cell.hpp"
 #include "json/json.hpp"
@@ -79,17 +80,10 @@ ClassifyBenchArgs Parse(int argc, char** argv) {
       }
       if (a.cores.empty()) UsageAndExit(argv[0]);
     } else if (std::strncmp(arg, "--window=", 9) == 0) {
-      const char* s = arg + 9;
-      char* end = nullptr;
-      errno = 0;
-      unsigned long long n = std::strtoull(s, &end, 10);
-      if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-          n == 0) {
-        std::fprintf(stderr, "%s: --window expects a positive cycle count, got '%s'\n", argv[0],
-                     s);
-        UsageAndExit(argv[0]);
-      }
-      a.window = n;
+      std::optional<std::uint64_t> n = ndc::cli::ParseUintFlag(
+          argv[0], "--window", arg + 9, 1, UINT64_MAX, "a positive cycle count");
+      if (!n) UsageAndExit(argv[0]);
+      a.window = *n;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       a.out_path = arg + 6;
     } else {

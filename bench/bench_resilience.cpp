@@ -16,16 +16,17 @@
 // Storms are deterministic: the same --storm-seed reproduces the same
 // windows and the same in-run fault draws, so every row is replayable.
 
-#include <cctype>
-#include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "fault/fault.hpp"
 #include "harness/cell.hpp"
 #include "json/json.hpp"
@@ -63,16 +64,10 @@ struct ResArgs {
 /// trailing characters or an out-of-range value is a usage error.
 std::uint64_t ParseCount(const char* prog, const char* flag, const char* s,
                          std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long n = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-      n > max) {
-    std::fprintf(stderr, "%s: %s expects an integer in [0, %llu], got '%s'\n", prog, flag,
-                 static_cast<unsigned long long>(max), s);
-    UsageAndExit(prog);
-  }
-  return n;
+  std::optional<std::uint64_t> n = ndc::cli::ParseUintFlag(
+      prog, flag, s, 0, max, "an integer in [0, " + std::to_string(max) + "]");
+  if (!n) UsageAndExit(prog);
+  return *n;
 }
 
 ResArgs Parse(int argc, char** argv) {

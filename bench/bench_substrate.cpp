@@ -1,6 +1,7 @@
 // Substrate throughput benchmark: events/sec, ns/event, and allocs/event
 // for the discrete-event core (calendar EventQueue vs the seed binary-heap
-// LegacyEventQueue), plus end-to-end MemCtrl and NoC event streams.
+// LegacyEventQueue, plus a wide chain shaped like a whole-machine run),
+// and end-to-end MemCtrl and NoC event streams.
 //
 // Emits a machine-readable JSON report (default BENCH_substrate.json) that
 // CI's substrate-perf job checks against two floors:
@@ -15,16 +16,17 @@
 // Usage: bench_substrate [--events=N] [--out=FILE]
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
@@ -129,6 +131,43 @@ BenchResult ChainBench(const char* name, std::uint64_t events) {
   remaining = events;
   seed();
   return Measure(name, [&] { q.RunUntilEmpty(); }, [&] { return q.executed(); });
+}
+
+// --- Wide chain: the simulator's own schedule profile -----------------------
+// A whole-machine run keeps about a dozen events live per cycle, with delays
+// from one cycle (core dispatch) to a few hundred (DRAM round trips).
+// calendar_chain's 64 chains over delays 1..13 touch a handful of wheel
+// buckets; 2400 chains with delays spread uniformly over 1..400 (~12 events
+// per cycle) use the whole wheel, so this row sees its cache footprint.
+// Report-only: no floor reads it.
+
+struct WideChainEvent {
+  sim::EventQueue* q;
+  std::uint64_t* remaining;
+  std::uint64_t state;  ///< LCG state choosing the next delay
+  void operator()() const {
+    if (*remaining == 0) return;
+    --*remaining;
+    std::uint64_t next = state * 6364136223846793005ull + 1442695040888963407ull;
+    q->ScheduleAfter(1 + (next >> 33) % 400, WideChainEvent{q, remaining, next});
+  }
+};
+
+BenchResult WideChainBench(std::uint64_t events) {
+  sim::EventQueue q;
+  std::uint64_t remaining = 0;
+  auto seed = [&] {
+    for (std::uint64_t c = 0; c < 2400; ++c) {
+      q.ScheduleAfter(1 + c % 400, WideChainEvent{&q, &remaining, c});
+    }
+  };
+  remaining = events / 10;
+  seed();
+  q.RunUntilEmpty();
+  remaining = events;
+  seed();
+  return Measure("calendar_wide_chain", [&] { q.RunUntilEmpty(); },
+                 [&] { return q.executed(); });
 }
 
 // --- Mixed horizon: mostly near events, 1-in-8 beyond the wheel window -----
@@ -266,17 +305,10 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--events=", 9) == 0) {
-      const char* s = arg + 9;
-      char* end = nullptr;
-      errno = 0;
-      unsigned long long n = std::strtoull(s, &end, 10);
-      if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-          n == 0) {
-        std::fprintf(stderr, "bench_substrate: --events expects a positive integer, got '%s'\n",
-                     s);
-        UsageAndExit(argv[0]);
-      }
-      events = n;
+      std::optional<std::uint64_t> n = ndc::cli::ParseUintFlag(
+          "bench_substrate", "--events", arg + 9, 1, UINT64_MAX, "a positive integer");
+      if (!n) UsageAndExit(argv[0]);
+      events = *n;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out = arg + 6;
     } else {
@@ -288,6 +320,7 @@ int Main(int argc, char** argv) {
   std::vector<BenchResult> rows;
   rows.push_back(ChainBench<sim::EventQueue>("calendar_chain", events));
   rows.push_back(ChainBench<sim::LegacyEventQueue>("legacy_chain", events));
+  rows.push_back(WideChainBench(events));
   rows.push_back(MixedBench(events));
   rows.push_back(MemCtrlBench(events / 4));
   rows.push_back(NocBench(events / 8));

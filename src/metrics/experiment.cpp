@@ -71,17 +71,14 @@ runtime::RunResult Experiment::RunTraces(const arch::ArchConfig& cfg,
   }
   runtime::Machine m(cfg, opts);
   m.LoadProgram(traces);
-  runtime::RunResult r = m.Run();
-  // No request may be lost, faulted or not: the check reads O(cores + MCs)
-  // end-of-run counters, so every run pays for it.
-  fault::ConservationInputs cons = m.GatherConservation();
-  fault::ConservationReport report = fault::CheckConservation(cons);
-  if (!report.ok) {
-    throw std::logic_error(workload_ + ": " + obs::RunKindName(kind) +
-                           " run broke request conservation: " + report.ToString());
+  runtime::RunResult r;
+  try {
+    r = m.Run();
+  } catch (const std::logic_error& e) {  // e.g. the run broke request conservation
+    throw std::logic_error(workload_ + ": " + obs::RunKindName(kind) + " run: " + e.what());
   }
   if (inj != nullptr) {
-    last_conservation_ = cons;
+    last_conservation_ = m.GatherConservation();
     last_injections_ = inj->counts();
     have_fault_report_ = true;
   }

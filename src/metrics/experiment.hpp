@@ -106,8 +106,9 @@ class Experiment {
 
  private:
   /// The one simulation entry point: runs `traces` on a fresh Machine built
-  /// from `cfg`, counts the run as `kind`, and checks request conservation
-  /// (throws std::logic_error on a violation). `with_faults` marks a
+  /// from `cfg` and counts the run as `kind`. Machine::Run throws
+  /// std::logic_error if the run breaks request conservation; it is
+  /// rethrown with the workload and run kind. `with_faults` marks a
   /// measured run, which gets a fresh injector from the attached schedule
   /// and records the fault report.
   runtime::RunResult RunTraces(const arch::ArchConfig& cfg,

@@ -1,8 +1,8 @@
 #include "ndc/machine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace ndc::runtime {
 namespace {
@@ -22,13 +22,6 @@ constexpr std::uint64_t Tag(std::uint64_t uid, int operand) {
 }
 constexpr std::uint64_t TagUid(std::uint64_t tag) { return tag >> 1; }
 constexpr int TagOperand(std::uint64_t tag) { return static_cast<int>(tag & 1); }
-
-std::uint64_t QuadKey(sim::NodeId a, sim::NodeId b, sim::NodeId c, sim::NodeId d,
-                      bool reroute) {
-  std::uint64_t k = 0;
-  for (sim::NodeId v : {a, b, c, d}) k = (k << 10) | static_cast<std::uint64_t>(v & 0x3FF);
-  return (k << 1) | (reroute ? 1 : 0);
-}
 
 }  // namespace
 
@@ -56,7 +49,8 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
   for (int i = 0; i < n; ++i) {
     cores_.push_back(std::make_unique<arch::Core>(i, cfg_, eq_, *this));
   }
-  site_to_uid_.resize(static_cast<std::size_t>(n));
+  home_pair_idx_.resize(2 * static_cast<std::size_t>(n));
+  mc_pair_idx_.resize(2 * static_cast<std::size_t>(cfg_.num_mcs * cfg_.num_mcs));
   active_offloads_.assign(static_cast<std::size_t>(n), 0);
   sync_ = std::make_unique<sync::SyncManager>(eq_, opts_.sync);
   if (opts_.observe) records_ = std::make_shared<RunRecord>(n);
@@ -128,6 +122,8 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
   cands_.assign(static_cast<std::size_t>(n), {});
   future_reuse_.assign(static_cast<std::size_t>(n), {});
   future_reuse_l2_.assign(static_cast<std::size_t>(n), {});
+  cand_uid_.assign(static_cast<std::size_t>(n), {});
+  std::size_t total_cands = 0;
   for (int c = 0; c < n; ++c) {
     const arch::Trace& t = traces[static_cast<std::size_t>(c)];
     auto& l2c = load_to_cand_[static_cast<std::size_t>(c)];
@@ -148,10 +144,15 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
       l2c[d0] = cand_id * 2;
       l2c[d1] = cand_id * 2 + 1;
     }
+    cand_uid_[static_cast<std::size_t>(c)].assign(cands.size(), 0);
+    total_cands += cands.size();
     future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
     future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
     cores_[static_cast<std::size_t>(c)]->SetTrace(std::move(traces[static_cast<std::size_t>(c)]));
   }
+  // Exact bound (one instance per candidate); see the note on instances_.
+  instances_.clear();
+  instances_.reserve(total_cands);
 }
 
 RunResult Machine::Run(sim::Cycle limit) {
@@ -159,6 +160,13 @@ RunResult Machine::Run(sim::Cycle limit) {
     if (!c->trace().empty()) c->Start();
   }
   eq_.RunUntilEmpty(limit);
+  // No request may be lost, faulted or not. The check reads O(cores + MCs)
+  // end-of-run counters, so every run pays for it.
+  fault::ConservationReport report = fault::CheckConservation(GatherConservation());
+  if (!report.ok) {
+    throw std::logic_error("runtime::Machine: run broke request conservation: " +
+                           report.ToString());
+  }
 
   RunResult r;
   r.events = eq_.executed();
@@ -225,14 +233,17 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
   int operand = -1;
   std::int32_t lc = load_to_cand_[c][idx];
   if (lc >= 0) {
-    const CandInfo& cand = cands_[c][static_cast<std::size_t>(lc) / 2];
+    auto cand_id = static_cast<std::uint32_t>(lc / 2);
+    const CandInfo& cand = cands_[c][cand_id];
     operand = lc % 2;
-    inst = FindInstance(core, cand.site_idx);
+    inst = FindInstance(core, cand_id);
     if (inst == nullptr) {
       // First operand load of this site: create the dynamic instance.
-      std::uint64_t uid = next_uid_++;
-      Instance ni;
-      ni.uid = uid;
+      if (instances_.size() == instances_.capacity()) {
+        throw std::logic_error("runtime::Machine: more NDC instances than candidates");
+      }
+      Instance& ni = instances_.emplace_back();
+      ni.uid = instances_.size();
       ni.core = core;
       ni.site_idx = cand.site_idx;
       const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
@@ -243,17 +254,13 @@ void Machine::IssueLoad(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
       ni.addr = {cores_[c]->trace()[cand.load_idx[0]].addr,
                  cores_[c]->trace()[cand.load_idx[1]].addr};
       ni.is_precompute = cand.is_precompute;
-      site_to_uid_[c][cand.site_idx] = uid;
-      inst = &instances_.emplace(uid, std::move(ni)).first->second;
+      cand_uid_[c][cand_id] = ni.uid;
+      inst = &ni;
     }
     // Second operand load issued? (the other load slot is already past the
     // in-order issue pointer, or it is this very slot when both deps alias).
     std::uint32_t other = inst->load_idx[operand == 0 ? 1 : 0];
-    if (other == idx || cores_[c]->issued(other)) {
-      OnSecondLoadIssued(core, cands_[c][static_cast<std::size_t>(lc) / 2], inst->addr[0],
-                         inst->addr[1]);
-      inst = InstanceByUid(site_to_uid_[c][cands_[c][static_cast<std::size_t>(lc) / 2].site_idx]);
-    }
+    if (other == idx || cores_[c]->issued(other)) OnSecondLoadIssued(*inst, cand);
   }
 
   if (inst != nullptr && operand >= 0 && rtok != 0) {
@@ -295,7 +302,8 @@ void Machine::IssueStore(sim::NodeId core, std::uint32_t idx, sim::Addr addr) {
 
 void Machine::IssuePreCompute(sim::NodeId core, std::uint32_t idx, const arch::Instr& instr) {
   (void)instr;
-  Instance* inst = FindInstance(core, idx);
+  std::int32_t cand = CandOfSite(core, idx);
+  Instance* inst = cand < 0 ? nullptr : FindInstance(core, static_cast<std::uint32_t>(cand));
   if (inst == nullptr) {
     // Degenerate site (e.g. operand loads were deduplicated away): nothing
     // will complete it, so complete immediately as a 1-cycle no-op.
@@ -422,7 +430,7 @@ void Machine::McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std:
     Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
     noc::Route route;
     if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
-      route = inst->route_mc_to_home[static_cast<std::size_t>(TagOperand(tag))];
+      route = TagOperand(tag) == 0 ? inst->mc_routes->a : inst->mc_routes->b;
     }
     SendLocal(mc_node, home, 256, std::move(route), tag, kRespToHome,
               [this, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
@@ -488,7 +496,7 @@ void Machine::SendResponseToCore(sim::NodeId home, sim::NodeId core, std::uint32
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
   noc::Route route;
   if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
-    route = inst->route_home_to_core[static_cast<std::size_t>(TagOperand(tag))];
+    route = TagOperand(tag) == 0 ? inst->home_routes->a : inst->home_routes->b;
   }
   SendLocal(home, core, 64, std::move(route), tag, kRespToCore,
             [this, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
@@ -514,12 +522,11 @@ void Machine::DeliverToCore(sim::NodeId core, std::uint32_t idx, sim::Addr addr,
 // NDC engine
 // ---------------------------------------------------------------------------
 
-void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Addr a,
-                                 sim::Addr b) {
-  Instance* inst = FindInstance(core, cand.site_idx);
-  assert(inst != nullptr);
-  if (inst->state != InstState::kPending || inst->feasible_mask != 0 || inst->local_l1 ||
-      inst->offloaded) {
+void Machine::OnSecondLoadIssued(Instance& inst, const CandInfo& cand) {
+  sim::NodeId core = inst.core;
+  sim::Addr a = inst.addr[0], b = inst.addr[1];
+  if (inst.state != InstState::kPending || inst.feasible_mask != 0 || inst.local_l1 ||
+      inst.offloaded) {
     return;  // already decided (defensive)
   }
   candidates_.Add();
@@ -528,23 +535,23 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   // LD/ST-unit local-cache probe (Section 2): if an operand is already in
   // the local L1, perform the computation in the core.
   if (l1_[c]->Contains(a) || l1_[c]->Contains(b)) {
-    inst->local_l1 = true;
-    inst->state = InstState::kConventional;
+    inst.local_l1 = true;
+    inst.state = InstState::kConventional;
     local_l1_skips_.Add();
-    RecordDecision(*inst, obs::DecisionKind::kLocalL1Skip, -1);
+    RecordDecision(inst, obs::DecisionKind::kLocalL1Skip, -1);
     return;
   }
 
-  inst->feasible_mask = ComputeFeasibility(*inst);
+  inst.feasible_mask = ComputeFeasibility(inst);
 
   if (opts_.observe) {
-    PlanRoutes(*inst);  // XY-based shared links for link observations
-    inst->state = InstState::kConventional;
+    PlanRoutes(inst);  // XY-based shared links for link observations
+    inst.state = InstState::kConventional;
     for (int l = 0; l < arch::kNumLocs; ++l) {
-      inst->obs[static_cast<std::size_t>(l)].feasible =
-          (inst->feasible_mask >> l) & 1;
+      inst.obs[static_cast<std::size_t>(l)].feasible =
+          (inst.feasible_mask >> l) & 1;
     }
-    RecordDecision(*inst, obs::DecisionKind::kDeclined, -1);
+    RecordDecision(inst, obs::DecisionKind::kDeclined, -1);
     return;
   }
 
@@ -555,7 +562,7 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   std::int8_t why_loc = -1;
   if (cand.is_precompute) {
     const arch::Instr& site = cores_[c]->trace()[cand.site_idx];
-    std::uint8_t allowed = inst->feasible_mask & cfg_.control_register;
+    std::uint8_t allowed = inst.feasible_mask & cfg_.control_register;
     if (allowed & arch::LocBit(site.planned_loc)) {
       d.offload = true;
       d.loc = site.planned_loc;
@@ -566,10 +573,10 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
       why_loc = static_cast<std::int8_t>(site.planned_loc);
     }
   } else if (opts_.policy != nullptr) {
-    d = opts_.policy->Decide(core, cand.site_idx, inst->pc, a, b, inst->feasible_mask);
+    d = opts_.policy->Decide(core, cand.site_idx, inst.pc, a, b, inst.feasible_mask);
   }
 
-  if (cfg_.restrict_ops_to_addsub && !arch::IsAddSub(inst->op)) {
+  if (cfg_.restrict_ops_to_addsub && !arch::IsAddSub(inst.op)) {
     if (d.offload) {
       why = obs::DecisionKind::kOpRestricted;
       why_loc = static_cast<std::int8_t>(d.loc);
@@ -586,17 +593,17 @@ void Machine::OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Ad
   }
 
   if (!d.offload) {
-    inst->state = InstState::kConventional;
-    RecordDecision(*inst, why, why_loc);
+    inst.state = InstState::kConventional;
+    RecordDecision(inst, why, why_loc);
     return;
   }
-  inst->offloaded = true;
-  inst->planned = d.loc;
-  inst->timeout = std::max<sim::Cycle>(1, d.timeout);
+  inst.offloaded = true;
+  inst.planned = d.loc;
+  inst.timeout = std::max<sim::Cycle>(1, d.timeout);
   ++active_offloads_[c];
   offloads_.Add();
-  RecordDecision(*inst, obs::DecisionKind::kOffload, static_cast<std::int8_t>(d.loc));
-  PlanRoutes(*inst);
+  RecordDecision(inst, obs::DecisionKind::kOffload, static_cast<std::int8_t>(d.loc));
+  PlanRoutes(inst);
   if (!cand.is_precompute) cores_[c]->MarkExternal(cand.site_idx);
 }
 
@@ -611,46 +618,54 @@ std::uint8_t Machine::ComputeFeasibility(Instance& inst) {
     if (amap_.DramBank(a) == amap_.DramBank(b)) mask |= arch::LocBit(Loc::kMemBank);
   }
   bool reroute = inst.is_precompute && cfg_.allow_reroute && !opts_.observe;
-  const noc::RoutePair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
-  bool link = p1.shared_links > 0;
-  if (!link) {
-    sim::NodeId mna = mc_nodes_[static_cast<std::size_t>(ma)];
-    sim::NodeId mnb = mc_nodes_[static_cast<std::size_t>(mb)];
-    const noc::RoutePair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
-    link = p2.shared_links > 0;
-  }
+  bool link = HomePair(ha, hb, inst.core, reroute).shared_links > 0 ||
+              McPair(ma, mb, ha, hb, reroute).shared_links > 0;
   if (link) mask |= arch::LocBit(Loc::kLinkBuffer);
   return mask;
 }
 
-const noc::RoutePair& Machine::OverlapFor(sim::NodeId a_src, sim::NodeId a_dst,
+const noc::RoutePair& Machine::HomePair(sim::NodeId ha, sim::NodeId hb, sim::NodeId core,
+                                        bool reroute) {
+  auto chunk = static_cast<std::size_t>((reroute ? cfg_.num_nodes() : 0) + core);
+  return CachedPair(home_pair_idx_[chunk], ha, hb, ha, core, hb, core, reroute);
+}
+
+const noc::RoutePair& Machine::McPair(sim::McId ma, sim::McId mb, sim::NodeId ha,
+                                      sim::NodeId hb, bool reroute) {
+  auto chunk = static_cast<std::size_t>(((reroute ? cfg_.num_mcs : 0) + ma) * cfg_.num_mcs + mb);
+  return CachedPair(mc_pair_idx_[chunk], ha, hb, mc_nodes_[static_cast<std::size_t>(ma)], ha,
+                    mc_nodes_[static_cast<std::size_t>(mb)], hb, reroute);
+}
+
+const noc::RoutePair& Machine::CachedPair(std::vector<std::uint32_t>& chunk, sim::NodeId ha,
+                                          sim::NodeId hb, sim::NodeId a_src, sim::NodeId a_dst,
                                           sim::NodeId b_src, sim::NodeId b_dst, bool reroute) {
-  std::uint64_t key = QuadKey(a_src, a_dst, b_src, b_dst, reroute);
-  auto it = route_pairs_.find(key);
-  if (it != route_pairs_.end()) return it->second;
-  noc::RoutePair p;
-  if (reroute) {
-    p = noc::MaxOverlapRoutes(mesh_, a_src, a_dst, b_src, b_dst);
-  } else {
-    p.a = noc::XyRoute(mesh_, a_src, a_dst);
-    p.b = noc::XyRoute(mesh_, b_src, b_dst);
-    p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
-    p.shared_links = p.shared.Popcount();
+  auto n = static_cast<std::size_t>(cfg_.num_nodes());
+  if (chunk.empty()) chunk.assign(n * n, 0);
+  std::uint32_t& slot = chunk[static_cast<std::size_t>(ha) * n + static_cast<std::size_t>(hb)];
+  if (slot == 0) {
+    noc::RoutePair& p = route_pairs_.emplace_back();
+    if (reroute) {
+      p = noc::MaxOverlapRoutes(mesh_, a_src, a_dst, b_src, b_dst);
+    } else {
+      p.a = noc::XyRoute(mesh_, a_src, a_dst);
+      p.b = noc::XyRoute(mesh_, b_src, b_dst);
+      p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
+      p.shared_links = p.shared.Popcount();
+    }
+    slot = static_cast<std::uint32_t>(route_pairs_.size());
   }
-  return route_pairs_.emplace(key, std::move(p)).first->second;
+  return route_pairs_[slot - 1];
 }
 
 void Machine::PlanRoutes(Instance& inst) {
   bool reroute = inst.is_precompute && cfg_.allow_reroute && !opts_.observe;
   sim::NodeId ha = amap_.HomeBank(inst.addr[0]), hb = amap_.HomeBank(inst.addr[1]);
   sim::McId ma = amap_.Mc(inst.addr[0]), mb = amap_.Mc(inst.addr[1]);
-  sim::NodeId mna = mc_nodes_[static_cast<std::size_t>(ma)];
-  sim::NodeId mnb = mc_nodes_[static_cast<std::size_t>(mb)];
-  const noc::RoutePair& p1 = OverlapFor(ha, inst.core, hb, inst.core, reroute);
-  const noc::RoutePair& p2 = OverlapFor(mna, ha, mnb, hb, reroute);
-  inst.route_home_to_core = {p1.a, p1.b};
-  inst.route_mc_to_home = {p2.a, p2.b};
-  inst.shared_links = p1.shared.Union(p2.shared);
+  const noc::RoutePair& p1 = HomePair(ha, hb, inst.core, reroute);
+  const noc::RoutePair& p2 = McPair(ma, mb, ha, hb, reroute);
+  inst.home_routes = &p1;
+  inst.mc_routes = &p2;
   // Observation timing link: the first shared link along operand A's
   // home->core route, falling back to the MC segment.
   inst.obs_link = sim::kNoLink;
@@ -951,16 +966,18 @@ void Machine::ServiceTableRelease(Loc loc, int key) {
   if (it != tbl.end() && it->second > 0) --it->second;
 }
 
-Machine::Instance* Machine::FindInstance(sim::NodeId core, std::uint32_t site_idx) {
-  auto& m = site_to_uid_[static_cast<std::size_t>(core)];
-  auto it = m.find(site_idx);
-  if (it == m.end()) return nullptr;
-  return InstanceByUid(it->second);
+Machine::Instance* Machine::FindInstance(sim::NodeId core, std::uint32_t cand) {
+  std::uint64_t uid = cand_uid_[static_cast<std::size_t>(core)][cand];
+  return uid == 0 ? nullptr : &instances_[uid - 1];
 }
 
-Machine::Instance* Machine::InstanceByUid(std::uint64_t uid) {
-  auto it = instances_.find(uid);
-  return it == instances_.end() ? nullptr : &it->second;
+std::int32_t Machine::CandOfSite(sim::NodeId core, std::uint32_t site_idx) const {
+  // LoadProgram appends candidates in trace order, so site slots ascend.
+  const std::vector<CandInfo>& cands = cands_[static_cast<std::size_t>(core)];
+  auto it = std::lower_bound(cands.begin(), cands.end(), site_idx,
+                             [](const CandInfo& ci, std::uint32_t s) { return ci.site_idx < s; });
+  if (it == cands.end() || it->site_idx != site_idx) return -1;
+  return static_cast<std::int32_t>(it - cands.begin());
 }
 
 void Machine::RecordDecision(const Instance& inst, obs::DecisionKind kind,
@@ -1062,8 +1079,7 @@ fault::ConservationInputs Machine::GatherConservation() const {
 
 void Machine::FinalizeRecords(RunResult& result) {
   (void)result;
-  for (auto& [uid, inst] : instances_) {
-    (void)uid;
+  for (const Instance& inst : instances_) {
     auto c = static_cast<std::size_t>(inst.core);
     InstanceRecord& rec = records_->Get(inst.core, inst.site_idx);
     rec.core = inst.core;

@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -106,6 +106,9 @@ class Machine final : public arch::MemoryPort {
   /// elapsed.
   /// Observability end-of-run stamps (unfinished request records, never-met
   /// decisions) therefore carry `limit`, not the last event's cycle.
+  /// Throws std::logic_error when the run breaks request conservation
+  /// (fault::CheckConservation over GatherConservation()): a request was
+  /// lost, or `limit` cut the run before every core finished.
   RunResult Run(sim::Cycle limit = 2'000'000'000ull);
 
   // --- MemoryPort (called by cores) ---
@@ -124,10 +127,12 @@ class Machine final : public arch::MemoryPort {
   arch::Core& core(sim::NodeId n) { return *cores_[static_cast<std::size_t>(n)]; }
   const mem::AddressMap& amap() const { return amap_; }
   sync::SyncManager& sync_manager() { return *sync_; }
+  /// NDC instances created so far: one per candidate site whose first
+  /// operand load has issued.
+  std::size_t instances_created() const { return instances_.size(); }
 
-  /// Snapshot of the request-conservation counters (call after Run drains):
-  /// fault::CheckConservation(GatherConservation()) must report ok — no
-  /// request lost, however hostile the fault schedule.
+  /// Snapshot of the request-conservation counters (call after Run drains).
+  /// Run itself checks them; callers keep the snapshot for fault reports.
   fault::ConservationInputs GatherConservation() const;
 
  private:
@@ -158,10 +163,10 @@ class Machine final : public arch::MemoryPort {
     InstState state = InstState::kPending;
     std::uint8_t feasible_mask = 0;
 
-    // Routing plan (responses toward the core / L2) and shared links.
-    std::array<noc::Route, 2> route_home_to_core{};
-    std::array<noc::Route, 2> route_mc_to_home{};
-    noc::Signature shared_links;
+    // Routing plan: the response routes home->core and MC->home for both
+    // operands (entries of route_pairs_, which never move).
+    const noc::RoutePair* home_routes = nullptr;
+    const noc::RoutePair* mc_routes = nullptr;
     sim::LinkId obs_link = sim::kNoLink;  ///< link used for observation timing
     bool fallback_done = false;
 
@@ -208,7 +213,7 @@ class Machine final : public arch::MemoryPort {
                  std::uint64_t rtok = 0);
 
   // -- NDC engine --
-  void OnSecondLoadIssued(sim::NodeId core, const CandInfo& cand, sim::Addr a, sim::Addr b);
+  void OnSecondLoadIssued(Instance& inst, const CandInfo& cand);
   std::uint8_t ComputeFeasibility(Instance& inst);
   void PlanRoutes(Instance& inst);
   noc::HopAction OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now);
@@ -231,8 +236,14 @@ class Machine final : public arch::MemoryPort {
   bool ServiceTableReserve(Loc loc, int key);
   void ServiceTableRelease(Loc loc, int key);
 
-  Instance* FindInstance(sim::NodeId core, std::uint32_t site_idx);
-  Instance* InstanceByUid(std::uint64_t uid);
+  /// The instance of candidate `cand` of `core`; null until its first
+  /// operand load issues.
+  Instance* FindInstance(sim::NodeId core, std::uint32_t cand);
+  Instance* InstanceByUid(std::uint64_t uid) {
+    return uid - 1 < instances_.size() ? &instances_[uid - 1] : nullptr;
+  }
+  /// Candidate id of the site at trace slot `site_idx`, or -1 if none.
+  std::int32_t CandOfSite(sim::NodeId core, std::uint32_t site_idx) const;
 
   void FinalizeRecords(RunResult& result);
 
@@ -265,16 +276,35 @@ class Machine final : public arch::MemoryPort {
   std::vector<std::vector<bool>> future_reuse_;     // per core/slot, L1-line grain
   std::vector<std::vector<bool>> future_reuse_l2_;  // per core/slot, L2-line grain
 
-  // Live instances keyed by (core, site trace slot) and by uid.
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> site_to_uid_;
-  std::unordered_map<std::uint64_t, Instance> instances_;
-  std::uint64_t next_uid_ = 1;
+  // Instances in creation order: uid u lives at instances_[u - 1]. Uids are
+  // never reused and instances never erased. LoadProgram reserves one slot
+  // per candidate (a candidate gets at most one instance), so the vector
+  // never reallocates and an Instance& stays valid while the code holding
+  // it dispatches loads that create further instances (MeetAndCompute ->
+  // Core::Complete -> IssueLoad).
+  std::vector<Instance> instances_;
+  // Per core, per candidate id: the candidate's uid, 0 before its first
+  // operand load issues.
+  std::vector<std::vector<std::uint64_t>> cand_uid_;
   std::uint64_t next_wait_token_ = 1;
 
-  // Memoized route-pair overlap results, keyed by (srcA,dstA,srcB,dstB).
-  std::unordered_map<std::uint64_t, noc::RoutePair> route_pairs_;
-  const noc::RoutePair& OverlapFor(sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
-                                   sim::NodeId b_dst, bool reroute);
+  // Memoized route pairs, computed on first use. route_pairs_ owns them (a
+  // deque, so the pointers stay valid); the two tables index them densely.
+  // Home pairs (ha->core, hb->core) live in chunk [reroute][core] at slot
+  // ha * N + hb; MC pairs (mc(ma)->ha, mc(mb)->hb) in chunk
+  // [reroute][ma][mb] at slot ha * N + hb. A slot holds 1 + the pair's
+  // route_pairs_ index, 0 until computed. Chunks are allocated on first
+  // use, so a run touches only the cores and MC pairs it needs.
+  std::deque<noc::RoutePair> route_pairs_;
+  std::vector<std::vector<std::uint32_t>> home_pair_idx_;
+  std::vector<std::vector<std::uint32_t>> mc_pair_idx_;
+  const noc::RoutePair& HomePair(sim::NodeId ha, sim::NodeId hb, sim::NodeId core,
+                                 bool reroute);
+  const noc::RoutePair& McPair(sim::McId ma, sim::McId mb, sim::NodeId ha, sim::NodeId hb,
+                               bool reroute);
+  const noc::RoutePair& CachedPair(std::vector<std::uint32_t>& chunk, sim::NodeId ha,
+                                   sim::NodeId hb, sim::NodeId a_src, sim::NodeId a_dst,
+                                   sim::NodeId b_src, sim::NodeId b_dst, bool reroute);
 
   std::array<std::map<int, int>, arch::kNumLocs> service_tables_;
   std::vector<int> active_offloads_;  // per-core offload-table occupancy

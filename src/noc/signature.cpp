@@ -16,12 +16,6 @@ Signature Signature::Intersect(const Signature& o) const {
   return r;
 }
 
-Signature Signature::Union(const Signature& o) const {
-  Signature r;
-  for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] = words_[i] | o.words_[i];
-  return r;
-}
-
 int Signature::Popcount() const {
   int n = 0;
   for (std::uint64_t w : words_) n += std::popcount(w);

@@ -26,9 +26,6 @@ class Signature {
   /// Bitwise-and (the paper's S_x ∩ S_y).
   Signature Intersect(const Signature& o) const;
 
-  /// Bitwise-or.
-  Signature Union(const Signature& o) const;
-
   /// Number of set bits ("number of 1s").
   int Popcount() const;
 

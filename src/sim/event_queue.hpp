@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -23,10 +22,13 @@ namespace ndc::sim {
 /// schedule profile (almost every event is `ScheduleAfter` with a delay of a
 /// few to a few hundred cycles):
 ///
-///  - a wheel of kWheelSize per-cycle buckets covers every event within
-///    [now, now + kWheelSize); insertion is an O(1) bucket append, and an
-///    occupancy bitmap finds the next non-empty cycle with a handful of
-///    word scans instead of a heap sift;
+///  - a wheel of kWheelSize (256) per-cycle buckets covers every event
+///    within [now, now + kWheelSize); insertion is an O(1) bucket append,
+///    and a four-word occupancy bitmap finds the next non-empty cycle
+///    without a heap sift. The wheel is small on purpose: a run retires
+///    about a dozen events per cycle, so a wheel of thousands of buckets is
+///    evicted from cache before it wraps and every append misses, while 256
+///    buckets stay warm (DESIGN.md §10 has the measurements);
 ///  - events at or beyond now + kWheelSize land in a sorted overflow map
 ///    and are promoted when the clock reaches them. Overflow entries for a
 ///    cycle are always older (scheduled earlier) than any wheel entry for
@@ -38,9 +40,6 @@ namespace ndc::sim {
 ///    scheduling path performs no heap allocation.
 class EventQueue {
  public:
-  /// Historical alias; any callable convertible to `void()` is accepted.
-  using Callback = std::function<void()>;
-
   EventQueue() : wheel_(kWheelSize), occupied_(kWheelSize / 64, 0) {}
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -91,7 +90,7 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  static constexpr int kWheelBits = 12;
+  static constexpr int kWheelBits = 8;
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;
 

@@ -5,16 +5,25 @@
 // in every mode must come out clean under the independent verifier. Plus
 // the input parsers: random and mutated bytes fed to json::Parse,
 // fault::ParseSchedule and the result-cache loader are accepted or
-// rejected, never crash, and whatever is accepted re-serializes stably.
+// rejected, never crash, and whatever is accepted re-serializes stably;
+// cli::ParseUint, the numeric command-line flag parser, agrees with the
+// strtoull check it replaced on random, mutated and boundary inputs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <string>
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
+#include "cli/flags.hpp"
 #include "compiler/pipeline.hpp"
 #include "fault/schedule.hpp"
 #include "harness/cache.hpp"
@@ -468,6 +477,60 @@ TEST_P(FuzzParserSeeds, ResultCacheLoaderAcceptsOrRejects) {
     EXPECT_TRUE(cache.Lookup(spec, &out));
   }
   std::remove(path.c_str());
+}
+
+// The check every binary carried before cli::ParseUint replaced it.
+std::optional<std::uint64_t> StrtoullCheck(const char* s, std::uint64_t min, std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long n = std::strtoull(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
+      n < min || n > max) {
+    return std::nullopt;
+  }
+  return n;
+}
+
+TEST(FuzzFlags, ParseUintEdgeCases) {
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  EXPECT_EQ(cli::ParseUint("0", 0, kMax), 0u);
+  EXPECT_EQ(cli::ParseUint("007", 0, kMax), 7u);
+  EXPECT_EQ(cli::ParseUint("18446744073709551615", 0, kMax), kMax);
+  EXPECT_EQ(cli::ParseUint("5", 5, 5), 5u);
+  for (const char* bad : {"", "-1", "+1", "-0", " 1", "1 ", "1x", "0x10", "1e3", "1.0",
+                          "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_EQ(cli::ParseUint(bad, 0, kMax), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(cli::ParseUint("0", 1, kMax), std::nullopt);
+  EXPECT_EQ(cli::ParseUint("8", 0, 7), std::nullopt);
+  EXPECT_EQ(cli::ParseUint("4", 5, 9), std::nullopt);
+}
+
+TEST_P(FuzzParserSeeds, ParseUintAgreesWithTheStrtoullCheck) {
+  sim::Rng rng(GetParam());
+  const std::string seeds[] = {"0", "1", "42", "007", "-1", "+7", " 5", "5x",
+                               "18446744073709551615", "18446744073709551616",
+                               "123456789012345678901234567890"};
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = i % 2 == 0 ? Mutate(rng, seeds[rng.NextBelow(std::size(seeds))])
+                                   : RandomBytes(rng, 24);
+    // Bounds: open, positive-only, a small range, or a range hugging the
+    // parsed value so both edges are hit.
+    std::uint64_t min = 0, max = UINT64_MAX;
+    std::uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+    switch (rng.NextBelow(4)) {
+      case 0: break;
+      case 1: min = 1; break;
+      case 2: max = rng.NextBelow(100); break;
+      default:
+        min = v - std::min<std::uint64_t>(v, rng.NextBelow(2));
+        max = v + (v == UINT64_MAX ? 0 : rng.NextBelow(2));
+        if (rng.NextBool(0.5)) std::swap(min, max);
+        break;
+    }
+    EXPECT_EQ(cli::ParseUint(text.c_str(), min, max), StrtoullCheck(text.c_str(), min, max))
+        << "'" << text << "' in [" << min << ", " << max << "]";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ParserSeeds, FuzzParserSeeds, ::testing::Values(1, 2, 3, 4, 5));

@@ -219,5 +219,38 @@ TEST(MachineNdc, ControlRegisterZeroMeansConventional) {
   EXPECT_TRUE(m.l1(6).Contains(kA));
 }
 
+TEST(MachineNdc, MeetingThatDispatchesANewInstanceKeepsItsOwn) {
+  // With two load-queue slots, the second pair's loads (3, 4) wait until the
+  // first pair meets at the L2 controller. MeetAndCompute completes loads 0
+  // and 1 at the current cycle, so Core::Complete dispatches loads 3 and 4
+  // synchronously and IssueLoad creates instance 2 while MeetAndCompute
+  // still holds instance 1 by reference. Under ASan this catches any
+  // instance storage that moves when it grows.
+  ArchConfig cfg;
+  cfg.max_outstanding_loads = 2;
+  Machine m(cfg);
+  constexpr sim::Addr kStride = 256ull * 25 * 8;  // same home bank, new lines
+  constexpr sim::Addr kX = 256ull * 7;
+  Trace t{MakeLoad(kA),
+          MakeLoad(kB),
+          MakePreCompute(Op::kAdd, 0, 1, Loc::kCacheCtrl, 4000),
+          MakeLoad(kA + kStride),
+          MakeLoad(kB + kStride),
+          MakePreCompute(Op::kAdd, 3, 4, Loc::kCacheCtrl, 4000),
+          MakeLoad(kX),
+          MakeLoad(kX, 6),  // waits for load 6, so kX is in the local L1
+          MakeLoad(256ull * 8),
+          MakePreCompute(Op::kAdd, 7, 8, Loc::kCacheCtrl, 4000)};
+  m.LoadProgram(Program1(6, std::move(t)));
+  RunResult r = m.Run();
+  EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
+  EXPECT_EQ(r.ndc_success, 2u);
+  EXPECT_EQ(r.local_l1_skips, 1u);
+  // One instance per candidate site. candidates counts every decided site,
+  // local-L1 skips included; the run completed, so no site is undecided.
+  EXPECT_EQ(r.candidates, 3u);
+  EXPECT_EQ(m.instances_created(), r.candidates);
+}
+
 }  // namespace
 }  // namespace ndc::runtime

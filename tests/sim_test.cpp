@@ -5,6 +5,7 @@
 
 #include <array>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -119,8 +120,8 @@ TEST(EventQueue, FarEventsRunBeforeSameCycleWheelEvents) {
   EventQueue eq;
   std::vector<int> order;
   eq.ScheduleAt(5000, [&] { order.push_back(1); });  // far at schedule time
-  eq.ScheduleAt(1000, [&] {
-    eq.ScheduleAt(5000, [&] { order.push_back(2); });  // 4000 ahead: wheel
+  eq.ScheduleAt(4900, [&] {
+    eq.ScheduleAt(5000, [&] { order.push_back(2); });  // 100 ahead: wheel
   });
   eq.RunUntilEmpty();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -144,6 +145,56 @@ TEST(EventQueue, CallbacksOfAllStorageClassesExecute) {
   eq.ScheduleAt(3, [&sum, large] { sum += large[0]; });
   eq.RunUntilEmpty();
   EXPECT_EQ(sum, 21u);
+}
+
+// Runs a schedule whose delays straddle the wheel horizon — 255/256/257 for
+// the 256-bucket wheel, 4095/4096/4097 for a 4096-bucket one — from cycles
+// that are not multiples of 64, and returns the (cycle, id) execution order.
+// A delay of one wheel size minus one lands in the starting bitmap word just
+// below `now` (NextEventCycle's wrapped-low-bits branch); a delay of a wheel
+// size or more goes to the overflow map. Roots 39 and 3879 are placed so
+// that a later wheel entry shares its cycle with an earlier overflow entry
+// (37 + 257 == 39 + 255; 37 + 4097 == 39 + 4095 == 3879 + 255), and the
+// entries of a cycle must run in the order they were scheduled.
+template <typename Queue>
+std::vector<std::pair<Cycle, std::uint64_t>> WheelBoundaryOrder() {
+  constexpr std::array<Cycle, 6> kDelays = {255, 256, 257, 4095, 4096, 4097};
+  Queue q;
+  std::vector<std::pair<Cycle, std::uint64_t>> order;
+  std::uint64_t next_id = 0;
+  std::function<void(std::uint64_t, int)> body = [&](std::uint64_t id, int depth) {
+    order.push_back({q.now(), id});
+    if (depth == 0) return;
+    for (Cycle d : kDelays) {
+      std::uint64_t child = next_id++;
+      q.ScheduleAfter(d, [&body, child, depth] { body(child, depth - 1); });
+    }
+  };
+  for (Cycle root : {Cycle{37}, Cycle{39}, Cycle{3879}}) {
+    std::uint64_t id = next_id++;
+    q.ScheduleAt(root, [&body, id] { body(id, 2); });
+  }
+  q.RunUntilEmpty();
+  return order;
+}
+
+TEST(EventQueue, MatchesLegacyQueueAcrossWheelBoundaries) {
+  auto calendar = WheelBoundaryOrder<EventQueue>();
+  auto legacy = WheelBoundaryOrder<LegacyEventQueue>();
+  ASSERT_EQ(calendar.size(), 3u * (1 + 6 + 36));
+  EXPECT_EQ(calendar, legacy);
+  // The planted collisions run in scheduling order, overflow entries
+  // (scheduled earlier) before the wheel entry.
+  auto at = [&](Cycle c) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& [cycle, id] : calendar) {
+      if (cycle == c) ids.push_back(id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(at(294), (std::vector<std::uint64_t>{5, 9}));    // 37 + 257, 39 + 255
+  // Ids are handed out as parents run: 51 is root 3879's first child.
+  EXPECT_EQ(at(4134), (std::vector<std::uint64_t>{8, 12, 51}));
 }
 
 // Runs an identical randomized, reentrant schedule on a queue type and

@@ -19,15 +19,16 @@
 //                [--only=NAME] [--window=CYCLES] [--seed=N] [--json=FILE]
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "harness/cell.hpp"
 #include "json/json.hpp"
 #include "metrics/experiment.hpp"
@@ -60,15 +61,10 @@ struct ClassifyArgs {
 /// Parses a positive decimal flag value; an empty value, a sign, trailing
 /// characters, zero or an out-of-range value is a usage error.
 std::uint64_t ParsePositive(const char* flag, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long n = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-      n == 0) {
-    std::fprintf(stderr, "ndc-classify: %s expects a positive integer, got '%s'\n", flag, s);
-    UsageAndExit();
-  }
-  return n;
+  std::optional<std::uint64_t> n =
+      ndc::cli::ParseUintFlag("ndc-classify", flag, s, 1, UINT64_MAX, "a positive integer");
+  if (!n) UsageAndExit();
+  return *n;
 }
 
 ClassifyArgs Parse(int argc, char** argv) {

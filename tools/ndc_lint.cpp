@@ -22,16 +22,16 @@
 //            [--max-lead=N] [--control-register=MASK] [--parallelism]
 //            [--sarif=FILE]
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/parallelism.hpp"
+#include "cli/flags.hpp"
 #include "compiler/pipeline.hpp"
 #include "verify/sarif.hpp"
 #include "verify/verify.hpp"
@@ -70,17 +70,13 @@ void PrintUsage(std::FILE* out) {
 /// usage text) on an empty value, a sign, trailing characters or an
 /// out-of-range value.
 bool ParseCount(const char* flag, const char* s, std::uint64_t max, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long n = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-      n > max) {
-    std::fprintf(stderr, "ndc-lint: %s expects an integer in [0, %llu], got '%s'\n", flag,
-                 static_cast<unsigned long long>(max), s);
+  std::optional<std::uint64_t> n = ndc::cli::ParseUintFlag(
+      "ndc-lint", flag, s, 0, max, "an integer in [0, " + std::to_string(max) + "]");
+  if (!n) {
     PrintUsage(stderr);
     return false;
   }
-  *out = n;
+  *out = *n;
   return true;
 }
 

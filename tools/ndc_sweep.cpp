@@ -34,14 +34,16 @@
 //             [--faults=FILE|JSON] [--fault-intensity=X[,Y,...]]
 //   ndc-sweep --list
 
-#include <cctype>
-#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "fault/schedule.hpp"
 #include "harness/cell.hpp"
 #include "harness/figures.hpp"
@@ -126,14 +128,10 @@ SweepArgs Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--bench=", 8) == 0) {
       a.opt.only = arg + 8;
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(arg + 7, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1) {
-        std::fprintf(stderr, "ndc-sweep: --jobs expects a positive integer, got '%s'\n",
-                     arg + 7);
-        UsageAndExit();
-      }
-      a.opt.jobs = static_cast<int>(n);
+      std::optional<std::uint64_t> n = ndc::cli::ParseUintFlag(
+          "ndc-sweep", "--jobs", arg + 7, 1, INT_MAX, "a positive integer");
+      if (!n) UsageAndExit();
+      a.opt.jobs = static_cast<int>(*n);
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       a.opt.use_cache = false;
     } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
@@ -151,18 +149,11 @@ SweepArgs Parse(int argc, char** argv) {
         a.opt.classify_window = ndc::harness::kDefaultClassifyWindow;
       }
     } else if (std::strncmp(arg, "--classify-window=", 18) == 0) {
-      const char* s = arg + 18;
-      char* end = nullptr;
-      errno = 0;
-      unsigned long long n = std::strtoull(s, &end, 10);
-      if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-          n == 0) {
-        std::fprintf(stderr,
-                     "ndc-sweep: --classify-window expects a positive cycle count, got '%s'\n",
-                     s);
-        UsageAndExit();
-      }
-      a.opt.classify_window = static_cast<std::uint64_t>(n);
+      std::optional<std::uint64_t> n =
+          ndc::cli::ParseUintFlag("ndc-sweep", "--classify-window", arg + 18, 1, UINT64_MAX,
+                                  "a positive cycle count");
+      if (!n) UsageAndExit();
+      a.opt.classify_window = *n;
     } else if (std::strncmp(arg, "--summary=", 10) == 0) {
       a.summary_path = arg + 10;
     } else if (std::strcmp(arg, "--require-all-hits") == 0) {

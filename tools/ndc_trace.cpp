@@ -19,12 +19,14 @@
 //             [--trace=FILE] [--decisions=FILE]
 
 #include <cctype>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "cli/flags.hpp"
 #include "compiler/pipeline.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/obs.hpp"
@@ -89,16 +91,10 @@ bool ParseScheme(const std::string& name, Scheme* out) {
 /// Parses a decimal flag value in [min, UINT64_MAX]; an empty value, a
 /// sign, trailing characters or an out-of-range value is a usage error.
 std::uint64_t ParseU64(const char* flag, const char* s, std::uint64_t min) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0' || errno == ERANGE ||
-      v < min) {
-    std::fprintf(stderr, "ndc-trace: %s expects an integer >= %llu, got '%s'\n", flag,
-                 static_cast<unsigned long long>(min), s);
-    UsageAndExit();
-  }
-  return v;
+  std::optional<std::uint64_t> v = ndc::cli::ParseUintFlag(
+      "ndc-trace", flag, s, min, UINT64_MAX, "an integer >= " + std::to_string(min));
+  if (!v) UsageAndExit();
+  return *v;
 }
 
 TraceArgs Parse(int argc, char** argv) {
