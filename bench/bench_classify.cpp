@@ -18,6 +18,7 @@
 // With NDC_OBS=OFF there is nothing to sample; the binary prints a note
 // and exits 0 so generic bench invocations stay harmless.
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -69,16 +70,10 @@ ClassifyBenchArgs Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--bench=", 8) == 0) {
       a.only = arg + 8;
     } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-      a.cores.clear();
-      const char* p = arg + 8;
-      while (*p != '\0') {
-        char* end = nullptr;
-        long v = std::strtol(p, &end, 10);
-        if (end == p || v < 1) UsageAndExit(argv[0]);
-        a.cores.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-      }
-      if (a.cores.empty()) UsageAndExit(argv[0]);
+      std::optional<std::vector<std::uint64_t>> cores =
+          ndc::cli::ParseUintList(arg + 8, 1, INT_MAX);
+      if (!cores) UsageAndExit(argv[0]);
+      a.cores.assign(cores->begin(), cores->end());
     } else if (std::strncmp(arg, "--window=", 9) == 0) {
       std::optional<std::uint64_t> n = ndc::cli::ParseUintFlag(
           argv[0], "--window", arg + 9, 1, UINT64_MAX, "a positive cycle count");

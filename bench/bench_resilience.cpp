@@ -184,14 +184,13 @@ int main(int argc, char** argv) {
     for (double x : args.intensities) {
       storm.intensity = x;
       FaultSchedule sched = MakeStorm(storm);
-      exp.set_faults(&sched);
-      ndc::metrics::SchemeResult r = exp.Run(scheme);
-      exp.set_faults(nullptr);
+      ndc::metrics::SchemeResult r = exp.Run(scheme, {nullptr, &sched});
 
       std::uint64_t retries = r.run.stats.Get("ndc.retries");
       std::uint64_t degraded = r.run.stats.Get("ndc.degraded_to_host");
-      InjectionCounts inj = exp.last_injections();
-      ConservationReport rep = CheckConservation(exp.last_conservation());
+      ndc::metrics::FaultReport fr = r.fault_report.value_or(ndc::metrics::FaultReport{});
+      InjectionCounts inj = fr.injections;
+      ConservationReport rep = CheckConservation(fr.conservation);
       double slowdown = href == 0 ? 0.0
                                   : (static_cast<double>(r.run.makespan) /
                                          static_cast<double>(href) -

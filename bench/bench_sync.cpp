@@ -20,13 +20,17 @@
 // same makespan, counters, and final atomic-cell values, so every row is
 // replayable bit-for-bit.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "compiler/codegen.hpp"
 #include "fault/fault.hpp"
 #include "harness/cell.hpp"
@@ -70,16 +74,10 @@ SyncArgs Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--bench=", 8) == 0) {
       a.only = arg + 8;
     } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-      a.cores.clear();
-      const char* p = arg + 8;
-      while (*p != '\0') {
-        char* end = nullptr;
-        long v = std::strtol(p, &end, 10);
-        if (end == p || v < 1) UsageAndExit(argv[0]);
-        a.cores.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-      }
-      if (a.cores.empty()) UsageAndExit(argv[0]);
+      std::optional<std::vector<std::uint64_t>> cores =
+          ndc::cli::ParseUintList(arg + 8, 1, INT_MAX);
+      if (!cores) UsageAndExit(argv[0]);
+      a.cores.assign(cores->begin(), cores->end());
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       a.out_path = arg + 6;
     } else {

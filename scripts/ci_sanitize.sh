@@ -5,12 +5,14 @@
 #     ndc-lint, which is registered with ctest).
 #   thread: TSan over the only threading in the program, the sweep's
 #     ParallelFor threads — the harness tests (ParallelFor's own cases
-#     included) and two figures regenerated at --jobs=1 and --jobs=4, whose
-#     stdout must be byte-identical. Both read profile runs shared across
-#     concurrent cells: fig04's Oracle/Wait cells share each kernel's
-#     observe run, and abl's cells, which vary coarse_grain and
-#     allow_reroute over one kernel and configuration, share its baseline
-#     run.
+#     included), the experiment tests (Experiment.ParallelSweepMatchesSerialSweep)
+#     and three figures regenerated at --jobs=1 and --jobs=4, whose stdout
+#     must be byte-identical. Concurrent cells of one kernel and
+#     configuration share one metrics::Experiment, its lowered traces and
+#     its profile runs: fig04's Oracle/Wait cells read its observe run,
+#     abl's cells, which vary coarse_grain and allow_reroute, read its
+#     baseline run, and smoke's groups need both profile runs while its
+#     Baseline cells read the shared baseline.
 #
 # Usage: scripts/ci_sanitize.sh [address|thread] [build-dir]
 #        (default build-dir: build-sanitize for address, build-tsan for thread)
@@ -37,7 +39,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DNDC_WERROR=ON
 if [ "$MODE" = "thread" ]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target harness_test ndc-sweep
+    --target harness_test experiment_test ndc-sweep
 else
   cmake --build "$BUILD_DIR" -j "$(nproc)"
 fi
@@ -50,9 +52,10 @@ export TSAN_OPTIONS="halt_on_error=1"
 
 if [ "$MODE" = "thread" ]; then
   "$BUILD_DIR"/tests/harness_test
+  "$BUILD_DIR"/tests/experiment_test
   # Figures end-to-end through the sweep pool: stdout must not depend on
   # the worker count.
-  for fig in fig04 abl; do
+  for fig in fig04 abl smoke; do
     "$BUILD_DIR"/tools/ndc-sweep --figure="$fig" --scale=test --no-cache \
       --jobs=1 > "$BUILD_DIR/$fig-j1.txt" 2>/dev/null
     "$BUILD_DIR"/tools/ndc-sweep --figure="$fig" --scale=test --no-cache \

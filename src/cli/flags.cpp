@@ -18,6 +18,24 @@ std::optional<std::uint64_t> ParseUint(const char* s, std::uint64_t min, std::ui
   return v;
 }
 
+std::optional<std::vector<std::uint64_t>> ParseUintList(const char* s, std::uint64_t min,
+                                                        std::uint64_t max) {
+  if (s == nullptr) return std::nullopt;
+  std::vector<std::uint64_t> out;
+  std::string elem;
+  for (const char* p = s;; ++p) {
+    if (*p != ',' && *p != '\0') {
+      elem += *p;
+      continue;
+    }
+    std::optional<std::uint64_t> v = ParseUint(elem.c_str(), min, max);
+    if (!v) return std::nullopt;
+    out.push_back(*v);
+    if (*p == '\0') return out;
+    elem.clear();
+  }
+}
+
 std::optional<std::uint64_t> ParseUintFlag(const char* prog, const char* flag, const char* s,
                                            std::uint64_t min, std::uint64_t max,
                                            const std::string& expects) {

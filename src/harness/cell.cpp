@@ -207,7 +207,9 @@ bool CellResult::operator==(const CellResult& o) const {
 namespace {
 
 /// The compiled-vs-policy dispatch shared by RunCell and RunCellObsSummary.
-metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
+metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec,
+                              obs::Observability* ob) {
+  metrics::RunOptions ro{ob, &spec.faults};
   if (spec.Compiled()) {
     compiler::CompileOptions opt;
     opt.mode = spec.coarse_grain ? compiler::Mode::kCoarseGrain
@@ -216,18 +218,15 @@ metrics::SchemeResult RunSpec(metrics::Experiment& exp, const CellSpec& spec) {
                    : compiler::Mode::kAlgorithm1;
     opt.allow_reroute = spec.allow_reroute;
     opt.control_register = spec.control_register;
-    return exp.RunCompiled(opt);
+    return exp.RunCompiled(opt, ro);
   }
-  return exp.Run(spec.scheme);
+  return exp.Run(spec.scheme, ro);
 }
 
 }  // namespace
 
-CellResult RunCell(const CellSpec& spec, const CellProfiles& profiles) {
-  metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
-  exp.AdoptProfiles(profiles.baseline, profiles.observe);
-  if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
-  metrics::SchemeResult r = RunSpec(exp, spec);
+CellResult RunCell(const CellSpec& spec, metrics::Experiment& exp) {
+  metrics::SchemeResult r = RunSpec(exp, spec, nullptr);
 
   CellResult out;
   out.makespan = r.run.makespan;
@@ -363,9 +362,7 @@ json::Value RunCellObsSummary(const CellSpec& spec, std::uint64_t sample_period,
   oo.window_cycles = classify_window;
   obs::Observability ob(oo);
   metrics::Experiment exp(spec.workload, spec.scale, spec.cfg, spec.seed);
-  exp.set_obs(&ob);
-  if (!spec.faults.Empty()) exp.set_faults(&spec.faults);
-  metrics::SchemeResult r = RunSpec(exp, spec);
+  metrics::SchemeResult r = RunSpec(exp, spec, &ob);
 
   v.obj["makespan"] = json::Value::Int(r.run.makespan);
   v.obj["sample_period"] = json::Value::Int(ob.tracer.sample_period());

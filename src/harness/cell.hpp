@@ -1,12 +1,11 @@
 #pragma once
 
 // One sweep cell = one (workload, scheme, scale, configuration) simulation.
-// A cell builds its own metrics::Experiment from a deterministic seed. The
-// only thing it may share is a profile run (baseline or observe) that the
-// sweep simulated once for every cell with the same workload and
-// configuration; cells only read it. So cells can run on any thread in any
-// order and still produce results byte-identical to a serial run of each
-// cell alone.
+// A cell runs on a metrics::Experiment built from a deterministic seed and
+// shared with the cells of the same workload and configuration, which only
+// read its program, traces and profile runs. So cells can run on any thread
+// in any order and still produce results byte-identical to a serial run of
+// each cell alone.
 
 #include <array>
 #include <cstdint>
@@ -110,19 +109,10 @@ struct CellResult {
   bool operator==(const CellResult& o) const;
 };
 
-/// Profile runs simulated once for a group of cells that share them (see
-/// RunSweep). A null pointer means the cell simulates that run itself.
-struct CellProfiles {
-  const runtime::RunResult* baseline = nullptr;
-  const runtime::RunResult* observe = nullptr;
-};
-
-/// Executes the cell: the scheme's run, the observation run where the scheme
-/// needs a profile, and the baseline run unless the observe run stands in for
-/// it — minus whatever `profiles` supplies. Thread-safe with respect to other
-/// cells: the simulator has no global mutable state, and the profiles are
-/// only read.
-CellResult RunCell(const CellSpec& spec, const CellProfiles& profiles = {});
+/// Executes the cell on `exp`, built from the cell's workload, scale,
+/// configuration and seed: the scheme's run, plus whatever profile runs it
+/// needs that `exp` has not cached. Cells may share `exp` across threads.
+CellResult RunCell(const CellSpec& spec, metrics::Experiment& exp);
 
 /// Re-simulates the cell with an observation bundle attached and returns a
 /// JSON summary: per-stage latency aggregates, request counts, and the NDC

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -40,17 +39,13 @@ void PrintHeader(const char* what, const FigureOptions& opt) {
 }
 
 SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
-                               std::size_t cells,
-                               std::chrono::steady_clock::time_point start) {
+                               std::size_t cells, const SweepMeter& meter) {
   SweepSummary s;
   s.figure = figure;
   s.jobs = opt.jobs;
   s.cells = cells;
   s.cells_simulated = cells;  // record figures bypass the scalar cache
-  s.elapsed_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  meter.Finish(&s);
   return s;
 }
 
@@ -59,7 +54,7 @@ SweepSummary MakeRecordSummary(const char* figure, const FigureOptions& opt,
 // ---------------------------------------------------------------- fig02 ---
 
 SweepSummary RunFig02(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
+  SweepMeter meter;
   PrintHeader("Figure 2: arrival-window CDF per NDC location", opt);
 
   const std::array<arch::Loc, 4> locs = {arch::Loc::kLinkBuffer, arch::Loc::kCacheCtrl,
@@ -102,13 +97,13 @@ SweepSummary RunFig02(const FigureOptions& opt) {
   std::printf("\npaper example: swim <=20cy at cache controller ~14.3%%, at MC ~7.7%%;\n"
               "applu <=20cy at cache ~26.7%% vs raytrace ~8.6%% — windows vary widely by\n"
               "benchmark and location.\n");
-  return MakeRecordSummary("fig02", opt, names.size(), start);
+  return MakeRecordSummary("fig02", opt, names.size(), meter);
 }
 
 // ---------------------------------------------------------------- fig03 ---
 
 SweepSummary RunFig03(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
+  SweepMeter meter;
   PrintHeader("Figure 3: breakeven points vs arrival windows", opt);
 
   const std::array<arch::Loc, 4> locs = {arch::Loc::kLinkBuffer, arch::Loc::kCacheCtrl,
@@ -170,7 +165,7 @@ SweepSummary RunFig03(const FigureOptions& opt) {
                 window_h[l].CumulativeFraction(2) * 100.0,
                 breakeven_h[l].CumulativeFraction(2) * 100.0);
   }
-  return MakeRecordSummary("fig03", opt, names.size(), start);
+  return MakeRecordSummary("fig03", opt, names.size(), meter);
 }
 
 // ---------------------------------------------------------------- fig05 ---
@@ -215,7 +210,7 @@ std::vector<sim::Cycle> WindowTrace(const std::string& name, workloads::Scale sc
 }  // namespace
 
 SweepSummary RunFig05(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
+  SweepMeter meter;
   PrintHeader(
       "Figure 5: 30 consecutive arrival windows of one instruction (ocean, radiosity)",
       opt);
@@ -254,7 +249,7 @@ SweepSummary RunFig05(const FigureOptions& opt) {
                 "unpredictably; Last-Wait mispredicts)\n",
                 n ? mean / n : 0.0, dn ? std::sqrt(var / dn) : 0.0);
   }
-  return MakeRecordSummary("fig05", opt, names.size(), start);
+  return MakeRecordSummary("fig05", opt, names.size(), meter);
 }
 
 // ---------------------------------------------------------------- tab02 ---
@@ -345,7 +340,7 @@ Accuracy EvaluateCme(const std::string& name, workloads::Scale scale, std::uint6
 }  // namespace
 
 SweepSummary RunTab02(const FigureOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
+  SweepMeter meter;
   PrintHeader("Table 2: CME hit/miss estimation accuracy", opt);
 
   std::vector<std::string> names = FilteredWorkloads(opt);
@@ -367,7 +362,7 @@ SweepSummary RunTab02(const FigureOptions& opt) {
   std::printf("\npaper averages: L1 81.1%%, L2 72.9%% (misses dominated by effects the\n"
               "static estimator cannot see: cross-thread interleaving at the shared L2,\n"
               "irregular indirection, and conflict-model approximations)\n");
-  return MakeRecordSummary("tab02", opt, names.size(), start);
+  return MakeRecordSummary("tab02", opt, names.size(), meter);
 }
 
 }  // namespace ndc::harness

@@ -120,22 +120,31 @@ std::string ProfileKey(const CellSpec& cell) {
   return c.CanonicalString();
 }
 
-/// Missed cells with one ProfileKey, and the profile runs they share.
-struct ProfileGroup {
-  std::vector<std::size_t> cells;  ///< spec indices, in spec order
-  bool share_baseline = false, share_observe = false;
-  runtime::RunResult baseline, observe;
-
-  CellProfiles Profiles() const {
-    return {share_baseline ? &baseline : nullptr, share_observe ? &observe : nullptr};
-  }
-};
+std::shared_ptr<metrics::Experiment> MakeExperiment(const CellSpec& c) {
+  return std::make_shared<metrics::Experiment>(c.workload, c.scale, c.cfg, c.seed);
+}
 
 }  // namespace
 
+void SweepMeter::Finish(SweepSummary* s) const {
+  s->elapsed_ms = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  obs::PhaseProfiler::Snapshot now = obs::GlobalPhases().Take();
+  s->phase_ms = now.DeltaMsSince(base);
+  s->sim_events = now.sim_events - base.sim_events;
+  s->runs = now.RunsSince(base);
+  constexpr int kSim = static_cast<int>(obs::Phase::kSimulate);
+  std::uint64_t sim_ns = now.ns[kSim] - base.ns[kSim];
+  if (s->sim_events > 0 && sim_ns > 0) {
+    s->sim_events_per_sec =
+        static_cast<double>(s->sim_events) * 1e9 / static_cast<double>(sim_ns);
+  }
+}
+
 SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
-  auto start = std::chrono::steady_clock::now();
-  obs::PhaseProfiler::Snapshot phase_base = obs::GlobalPhases().Take();
+  SweepMeter meter;
   SweepResult out;
   out.cells.resize(spec.cells.size());
   out.summary.figure = spec.figure;
@@ -165,49 +174,45 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
                                                     out.summary.cache_hits);
     }
 
-    // Group the misses by profile key. A group of two or more cells gets the
-    // profile runs it needs simulated once, up front: the observe run if any
-    // cell's policy reads it, and the baseline run if a cell reports the
-    // baseline itself or no observe run can stand in for its makespan. A
-    // lone cell simulates its own profiles in RunCell.
-    std::vector<ProfileGroup> groups;
-    std::vector<std::size_t> group_of(misses.size());
+    // Group the misses by profile key. A group of two or more cells shares
+    // one Experiment, and the first pass simulates on it the profile runs
+    // the group needs: the observe run if any cell's policy reads it, and the
+    // baseline run if a cell reports the baseline itself or no observe run
+    // can stand in for its makespan. A lone cell builds its Experiment in
+    // the second pass. Each cell holds a reference to its Experiment, so the
+    // group's last cell to finish frees the program, traces and profiles.
+    std::vector<std::vector<std::size_t>> groups;  // indices into `misses`
     {
       std::map<std::string, std::size_t> index;
       for (std::size_t mi = 0; mi < misses.size(); ++mi) {
         auto [it, fresh] = index.try_emplace(ProfileKey(spec.cells[misses[mi]]), groups.size());
         if (fresh) groups.emplace_back();
-        groups[it->second].cells.push_back(misses[mi]);
-        group_of[mi] = it->second;
+        groups[it->second].push_back(mi);
       }
     }
-    std::vector<std::pair<ProfileGroup*, obs::RunKind>> profile_runs;
-    for (ProfileGroup& g : groups) {
-      if (g.cells.size() < 2) continue;
-      for (std::size_t i : g.cells) {
-        const CellSpec& c = spec.cells[i];
+    std::vector<std::shared_ptr<metrics::Experiment>> exp_of(misses.size());
+    ParallelFor(opt.jobs, groups.size(), [&](std::size_t k) {
+      const std::vector<std::size_t>& group = groups[k];
+      if (group.size() < 2) return;
+      bool observe = false, baseline = false;
+      for (std::size_t mi : group) {
+        const CellSpec& c = spec.cells[misses[mi]];
         if (c.Compiled()) continue;
-        g.share_observe |= metrics::UsesObserveRun(c.scheme);
-        g.share_baseline |= c.scheme == metrics::Scheme::kBaseline;
+        observe |= metrics::UsesObserveRun(c.scheme);
+        baseline |= c.scheme == metrics::Scheme::kBaseline;
       }
-      g.share_baseline |= !g.share_observe;
-      if (g.share_observe) profile_runs.emplace_back(&g, obs::RunKind::kObserve);
-      if (g.share_baseline) profile_runs.emplace_back(&g, obs::RunKind::kBaseline);
-    }
-    ParallelFor(opt.jobs, profile_runs.size(), [&](std::size_t k) {
-      auto [g, kind] = profile_runs[k];
-      const CellSpec& c = spec.cells[g->cells.front()];
-      metrics::Experiment exp(c.workload, c.scale, c.cfg, c.seed);
-      if (kind == obs::RunKind::kObserve) {
-        g->observe = exp.Observe();
-      } else {
-        g->baseline = exp.Baseline();
-      }
+      std::shared_ptr<metrics::Experiment> exp = MakeExperiment(spec.cells[misses[group[0]]]);
+      if (observe) exp->Observe();
+      if (baseline || !observe) exp->Baseline();
+      for (std::size_t mi : group) exp_of[mi] = exp;
     });
 
     auto run_one = [&](std::size_t mi) {
       std::size_t i = misses[mi];
-      CellResult r = RunCell(spec.cells[i], groups[group_of[mi]].Profiles());
+      std::shared_ptr<metrics::Experiment> exp = std::move(exp_of[mi]);
+      if (exp == nullptr) exp = MakeExperiment(spec.cells[i]);
+      CellResult r = RunCell(spec.cells[i], *exp);
+      exp.reset();
       if (cache != nullptr) cache->Insert(spec.cells[i], r);
       out.cells[i] = std::move(r);
       if (progress != nullptr) progress->CellDone();
@@ -215,20 +220,7 @@ SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& opt) {
     ParallelFor(opt.jobs, misses.size(), run_one);
   }
 
-  out.summary.elapsed_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  obs::PhaseProfiler::Snapshot phase_now = obs::GlobalPhases().Take();
-  out.summary.phase_ms = phase_now.DeltaMsSince(phase_base);
-  out.summary.sim_events = phase_now.sim_events - phase_base.sim_events;
-  out.summary.runs = phase_now.RunsSince(phase_base);
-  constexpr int kSim = static_cast<int>(obs::Phase::kSimulate);
-  std::uint64_t sim_ns = phase_now.ns[kSim] - phase_base.ns[kSim];
-  if (out.summary.sim_events > 0 && sim_ns > 0) {
-    out.summary.sim_events_per_sec =
-        static_cast<double>(out.summary.sim_events) * 1e9 / static_cast<double>(sim_ns);
-  }
+  meter.Finish(&out.summary);
   return out;
 }
 

@@ -7,6 +7,7 @@
 // results in spec order — so a parallel sweep is cell-for-cell identical to
 // a serial one, and to each cell run alone.
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "harness/cache.hpp"
 #include "harness/cell.hpp"
+#include "obs/phase.hpp"
 
 namespace ndc::harness {
 
@@ -56,6 +58,17 @@ struct SweepSummary {
   std::map<std::string, std::uint64_t> runs;
 
   json::Value ToJson() const;
+};
+
+/// Measures a sweep, or a record figure that simulates outside RunSweep:
+/// Finish() fills a summary's elapsed_ms, phase_ms, sim_events,
+/// sim_events_per_sec and runs with what accrued since construction (wall
+/// clock, and obs::GlobalPhases()).
+struct SweepMeter {
+  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+  obs::PhaseProfiler::Snapshot base = obs::GlobalPhases().Take();
+
+  void Finish(SweepSummary* s) const;
 };
 
 struct SweepResult {

@@ -37,14 +37,6 @@ IntMat IntMat::Multiply(const IntMat& other) const {
   return out;
 }
 
-IntMat IntMat::Transpose() const {
-  IntMat out(cols_, rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) out.at(c, r) = at(r, c);
-  }
-  return out;
-}
-
 Int IntMat::Determinant() const {
   assert(rows_ == cols_);
   int n = rows_;

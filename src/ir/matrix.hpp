@@ -32,7 +32,6 @@ class IntMat {
 
   IntVec Apply(const IntVec& v) const;          ///< this * v
   IntMat Multiply(const IntMat& other) const;   ///< this * other
-  IntMat Transpose() const;
 
   /// Determinant via fraction-free Gaussian elimination (Bareiss).
   Int Determinant() const;

@@ -44,15 +44,8 @@ class Cache {
   /// Drops all lines (between benchmark repetitions).
   void Clear();
 
-  sim::Addr LineAlign(sim::Addr addr) const { return addr & ~(params_.line_bytes - 1); }
-
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  double MissRate() const {
-    std::uint64_t t = hits_ + misses_;
-    return t == 0 ? 0.0 : static_cast<double>(misses_) / static_cast<double>(t);
-  }
-  void ResetStats() { hits_ = misses_ = 0; }
 
  private:
   struct Way {

@@ -48,25 +48,32 @@ Experiment::Experiment(std::string workload, workloads::Scale scale, arch::ArchC
                       : workloads::BuildWorkload(workload_, scale_, seed_);
 }
 
+std::vector<arch::Trace> Experiment::LowerBase() const {
+  obs::ScopedPhase phase(obs::Phase::kLowerTraces);
+  return compiler::Lower(base_program_, cfg_.num_nodes(), &cfg_).traces;
+}
+
 const std::vector<arch::Trace>& Experiment::BaselineTraces() {
-  if (base_traces_.empty()) {
-    obs::ScopedPhase phase(obs::Phase::kLowerTraces);
-    base_traces_ = compiler::Lower(base_program_, cfg_.num_nodes(), &cfg_).traces;
-  }
+  std::call_once(traces_once_, [&] {
+    base_traces_ = LowerBase();
+    have_traces_.store(true, std::memory_order_release);
+  });
   return base_traces_;
 }
 
 runtime::RunResult Experiment::RunTraces(const arch::ArchConfig& cfg,
                                          const std::vector<arch::Trace>& traces,
                                          runtime::MachineOptions opts, obs::RunKind kind,
-                                         bool with_faults) {
+                                         const RunOptions& ro,
+                                         std::optional<FaultReport>* report) const {
   obs::ScopedPhase phase(obs::Phase::kSimulate);
+  opts.obs = ro.obs;
   // A fresh injector per measured run: its RNG restarts from the schedule
   // seed, so the same (workload, schedule) pair is identically faulted every
   // time it is simulated.
   std::unique_ptr<fault::FaultInjector> inj;
-  if (with_faults && faults_ != nullptr && !faults_->Empty()) {
-    inj = std::make_unique<fault::FaultInjector>(*faults_);
+  if (ro.Faulted()) {
+    inj = std::make_unique<fault::FaultInjector>(*ro.faults);
     opts.faults = inj.get();
   }
   runtime::Machine m(cfg, opts);
@@ -77,63 +84,53 @@ runtime::RunResult Experiment::RunTraces(const arch::ArchConfig& cfg,
   } catch (const std::logic_error& e) {  // e.g. the run broke request conservation
     throw std::logic_error(workload_ + ": " + obs::RunKindName(kind) + " run: " + e.what());
   }
-  if (inj != nullptr) {
-    last_conservation_ = m.GatherConservation();
-    last_injections_ = inj->counts();
-    have_fault_report_ = true;
+  if (inj != nullptr && report != nullptr) {
+    *report = FaultReport{m.GatherConservation(), inj->counts()};
   }
   if constexpr (obs::kObsEnabled) obs::GlobalPhases().AddRun(kind, r.events);
   return r;
 }
 
-const runtime::RunResult& Experiment::Baseline() {
-  if (!have_baseline_) {
-    baseline_ = RunTraces(cfg_, BaselineTraces(), {}, obs::RunKind::kBaseline);
-    have_baseline_ = true;
+runtime::RunResult Experiment::RunProfile(runtime::MachineOptions opts, obs::RunKind kind) {
+  if (have_traces_.load(std::memory_order_acquire)) {
+    return RunTraces(cfg_, base_traces_, opts, kind);
   }
+  return RunTraces(cfg_, LowerBase(), opts, kind);
+}
+
+const runtime::RunResult& Experiment::Baseline() {
+  std::call_once(baseline_once_,
+                 [&] { baseline_ = RunProfile({}, obs::RunKind::kBaseline); });
   return baseline_;
 }
 
 const runtime::RunResult& Experiment::Observe() {
-  if (!have_observe_) {
+  std::call_once(observe_once_, [&] {
     runtime::MachineOptions opts;
     opts.observe = true;
-    observe_ = RunTraces(cfg_, BaselineTraces(), opts, obs::RunKind::kObserve);
-    have_observe_ = true;
-  }
+    observe_ = RunProfile(opts, obs::RunKind::kObserve);
+    have_observe_.store(true, std::memory_order_release);
+  });
   return observe_;
 }
 
 sim::Cycle Experiment::BaselineMakespan() {
-  return have_observe_ ? observe_.makespan : Baseline().makespan;
+  return have_observe_.load(std::memory_order_acquire) ? observe_.makespan
+                                                       : Baseline().makespan;
 }
 
-void Experiment::AdoptProfiles(const runtime::RunResult* baseline,
-                               const runtime::RunResult* observe) {
-  if (baseline != nullptr) {
-    baseline_ = *baseline;
-    have_baseline_ = true;
-  }
-  if (observe != nullptr) {
-    observe_ = *observe;
-    have_observe_ = true;
-  }
-}
-
-SchemeResult Experiment::Run(Scheme scheme) {
+SchemeResult Experiment::Run(Scheme scheme, const RunOptions& ro) {
   SchemeResult out;
   out.scheme = scheme;
 
   switch (scheme) {
     case Scheme::kBaseline:
-      if (obs_ != nullptr || faults_ != nullptr) {
+      if (ro.obs != nullptr || ro.Faulted()) {
         // The cached baseline carries no observation or fault data;
         // re-simulate so the requested trace/audit/faults reflect this very
         // scheme.
-        runtime::MachineOptions bopts;
-        bopts.obs = obs_;
-        out.run = RunTraces(cfg_, BaselineTraces(), bopts, obs::RunKind::kBaseline,
-                            /*with_faults=*/true);
+        out.run = RunTraces(cfg_, BaselineTraces(), {}, obs::RunKind::kBaseline, ro,
+                            &out.fault_report);
       } else {
         out.run = Baseline();
       }
@@ -142,17 +139,20 @@ SchemeResult Experiment::Run(Scheme scheme) {
     case Scheme::kAlgorithm1: {
       compiler::CompileOptions opt;
       opt.mode = compiler::Mode::kAlgorithm1;
-      return RunCompiled(opt);
+      return RunCompiled(opt, ro);
     }
     case Scheme::kAlgorithm2: {
       compiler::CompileOptions opt;
       opt.mode = compiler::Mode::kAlgorithm2;
-      return RunCompiled(opt);
+      return RunCompiled(opt, ro);
     }
     default:
       break;
   }
 
+  // Lower before asking for the observe run, so that run reuses these
+  // traces instead of lowering its own copy.
+  const std::vector<arch::Trace>& traces = BaselineTraces();
   std::unique_ptr<runtime::Policy> policy;
   switch (scheme) {
     case Scheme::kDefault:
@@ -184,14 +184,12 @@ SchemeResult Experiment::Run(Scheme scheme) {
   }
   runtime::MachineOptions opts;
   opts.policy = policy.get();
-  opts.obs = obs_;
-  out.run = RunTraces(cfg_, BaselineTraces(), opts, obs::RunKind::kPolicy,
-                      /*with_faults=*/true);
+  out.run = RunTraces(cfg_, traces, opts, obs::RunKind::kPolicy, ro, &out.fault_report);
   out.improvement_pct = ImprovementPct(BaselineMakespan(), out.run.makespan);
   return out;
 }
 
-SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
+SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt, const RunOptions& ro) {
   SchemeResult out;
   out.scheme = opt.mode == compiler::Mode::kAlgorithm2 ? Scheme::kAlgorithm2
                                                        : Scheme::kAlgorithm1;
@@ -208,9 +206,7 @@ SchemeResult Experiment::RunCompiled(compiler::CompileOptions opt) {
     out.compile_report = compiler::Compile(prog, ad, opt);
     traces = compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
   }
-  runtime::MachineOptions mopts;
-  mopts.obs = obs_;
-  out.run = RunTraces(cfg, traces, mopts, obs::RunKind::kCompiled, /*with_faults=*/true);
+  out.run = RunTraces(cfg, traces, {}, obs::RunKind::kCompiled, ro, &out.fault_report);
   out.improvement_pct = ImprovementPct(BaselineMakespan(), out.run.makespan);
   return out;
 }

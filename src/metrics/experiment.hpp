@@ -1,6 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,25 +38,42 @@ const char* SchemeName(Scheme s);
 /// records (Oracle and Wait(x%)).
 bool UsesObserveRun(Scheme s);
 
+/// A faulted run's end-of-run conservation counters and injections.
+struct FaultReport {
+  fault::ConservationInputs conservation;
+  fault::InjectionCounts injections;
+};
+
 /// Everything measured for one (workload, scheme) run.
 struct SchemeResult {
   Scheme scheme = Scheme::kBaseline;
   runtime::RunResult run;
   double improvement_pct = 0.0;  ///< vs baseline makespan (positive = faster)
   compiler::CompileReport compile_report;  ///< compiler modes only
+  /// Set iff the measured run executed under a non-empty fault schedule.
+  std::optional<FaultReport> fault_report;
 };
 
-/// A workload prepared for experiments: baseline + observation runs are
-/// cached so that multiple schemes can reuse the profile. The caches can also
-/// be seeded with runs simulated elsewhere (AdoptProfiles), which is how a
-/// sweep simulates each profile once for all the cells that share it.
+/// What one Run()/RunCompiled() call attaches to its *measured* run. The
+/// cached profile runs are never traced or faulted, so a faulted run is
+/// compared against the healthy baseline (the degradation curve's y-axis);
+/// Run(kBaseline) re-simulates when either is set. Each faulted run gets a
+/// fresh injector, so repeated runs are identically faulted.
+struct RunOptions {
+  obs::Observability* obs = nullptr;
+  const fault::FaultSchedule* faults = nullptr;  ///< null or empty: fault-free
+
+  bool Faulted() const { return faults != nullptr && !faults->Empty(); }
+};
+
+/// A workload prepared for experiments: the program is built once, and the
+/// base traces and the baseline and observe runs are cached for every scheme
+/// to reuse. Every method may be called from several threads at once, which
+/// is how a sweep's cells share one profile.
 class Experiment {
  public:
   Experiment(std::string workload, workloads::Scale scale, arch::ArchConfig cfg,
              std::uint64_t seed = 1);
-
-  const std::string& workload() const { return workload_; }
-  const arch::ArchConfig& cfg() const { return cfg_; }
 
   /// Baseline (conventional) run; cached.
   const runtime::RunResult& Baseline();
@@ -68,69 +88,45 @@ class Experiment {
   /// Baseline().makespan.
   sim::Cycle BaselineMakespan();
 
-  /// Seeds the baseline and observe caches with runs simulated by another
-  /// Experiment over the same workload, scale, seed and configuration. A
-  /// null pointer leaves that cache as it is. The records are shared, not
-  /// copied: policies only read them, so one observe run can serve cells on
-  /// several threads.
-  void AdoptProfiles(const runtime::RunResult* baseline, const runtime::RunResult* observe);
-
   /// Runs one scheme and reports improvement vs the baseline.
-  SchemeResult Run(Scheme scheme);
+  SchemeResult Run(Scheme scheme, const RunOptions& ro = {});
 
   /// Compiles with `opt` and runs the transformed program.
-  SchemeResult RunCompiled(compiler::CompileOptions opt);
+  SchemeResult RunCompiled(compiler::CompileOptions opt, const RunOptions& ro = {});
 
-  /// The traces of the original program (baseline schedule).
+  /// The traces of the original program (baseline schedule), lowered at
+  /// most once. Profile runs reuse but never fill this cache, so a sweep's
+  /// shared profiles hold no traces before a cell needs them.
   const std::vector<arch::Trace>& BaselineTraces();
-
-  /// Attaches an observation bundle to subsequent Run()/RunCompiled() calls:
-  /// the *measured* scheme run is traced (never the cached baseline/observe
-  /// profile runs, except that Run(kBaseline) re-simulates fresh so the
-  /// baseline itself can be observed). Null detaches.
-  void set_obs(obs::Observability* o) { obs_ = o; }
-
-  /// Attaches a fault schedule to subsequent Run()/RunCompiled() calls.
-  /// Mirrors set_obs: only the *measured* scheme run is faulted (the cached
-  /// baseline/observe profile runs stay pristine, so improvement numbers
-  /// compare a faulted run against the healthy baseline — the degradation
-  /// curve's y-axis). Each measured run gets a fresh injector built from the
-  /// schedule, so repeated runs are identically faulted. Null (or an empty
-  /// schedule) detaches.
-  void set_faults(const fault::FaultSchedule* s) { faults_ = s; }
-
-  /// Fault report for the most recent faulted measured run.
-  bool have_fault_report() const { return have_fault_report_; }
-  const fault::ConservationInputs& last_conservation() const { return last_conservation_; }
-  const fault::InjectionCounts& last_injections() const { return last_injections_; }
 
  private:
   /// The one simulation entry point: runs `traces` on a fresh Machine built
   /// from `cfg` and counts the run as `kind`. Machine::Run throws
   /// std::logic_error if the run breaks request conservation; it is
-  /// rethrown with the workload and run kind. `with_faults` marks a
-  /// measured run, which gets a fresh injector from the attached schedule
-  /// and records the fault report.
+  /// rethrown with the workload and run kind. A faulted run's report is
+  /// stored in `report`.
   runtime::RunResult RunTraces(const arch::ArchConfig& cfg,
                                const std::vector<arch::Trace>& traces,
                                runtime::MachineOptions opts, obs::RunKind kind,
-                               bool with_faults = false);
+                               const RunOptions& ro = {},
+                               std::optional<FaultReport>* report = nullptr) const;
+
+  /// A profile run over the cached traces if a measured run has lowered
+  /// them, else over a copy that dies with the run.
+  runtime::RunResult RunProfile(runtime::MachineOptions opts, obs::RunKind kind);
+
+  std::vector<arch::Trace> LowerBase() const;
 
   std::string workload_;
   workloads::Scale scale_;
   arch::ArchConfig cfg_;
   std::uint64_t seed_;
   ir::Program base_program_;
+  std::once_flag traces_once_, baseline_once_, observe_once_;
+  std::atomic<bool> have_traces_{false}, have_observe_{false};
   std::vector<arch::Trace> base_traces_;
-  bool have_baseline_ = false;
   runtime::RunResult baseline_;
-  bool have_observe_ = false;
   runtime::RunResult observe_;
-  obs::Observability* obs_ = nullptr;
-  const fault::FaultSchedule* faults_ = nullptr;
-  bool have_fault_report_ = false;
-  fault::ConservationInputs last_conservation_;
-  fault::InjectionCounts last_injections_;
 };
 
 /// Percentage improvement of `t` over baseline `base` (positive = faster,

@@ -197,7 +197,7 @@ RunResult Machine::Run(sim::Cycle limit) {
   }
   if (sync_->used()) r.sync_values = sync_->values();
   if (opts_.observe) {
-    FinalizeRecords(r);
+    FinalizeRecords();
     r.records = records_;
   }
   if (ObsOn()) {
@@ -1077,8 +1077,7 @@ fault::ConservationInputs Machine::GatherConservation() const {
   return in;
 }
 
-void Machine::FinalizeRecords(RunResult& result) {
-  (void)result;
+void Machine::FinalizeRecords() {
   for (const Instance& inst : instances_) {
     auto c = static_cast<std::size_t>(inst.core);
     InstanceRecord& rec = records_->Get(inst.core, inst.site_idx);

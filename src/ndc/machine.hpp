@@ -245,7 +245,7 @@ class Machine final : public arch::MemoryPort {
   /// Candidate id of the site at trace slot `site_idx`, or -1 if none.
   std::int32_t CandOfSite(sim::NodeId core, std::uint32_t site_idx) const;
 
-  void FinalizeRecords(RunResult& result);
+  void FinalizeRecords();
 
   /// True when this run observes itself. Folds to `false` at compile time
   /// under NDC_OBS=OFF, removing every instrumentation block it guards.

@@ -51,15 +51,6 @@ class Policy {
   virtual void ObserveWindow(NodeId /*core*/, std::uint32_t /*pc*/, Cycle /*window*/) {}
 };
 
-/// Never offloads (the conventional baseline).
-class NoNdcPolicy final : public Policy {
- public:
-  std::string name() const override { return "baseline"; }
-  Decision Decide(NodeId, std::uint32_t, std::uint32_t, Addr, Addr, std::uint8_t) override {
-    return {};
-  }
-};
-
 /// The paper's "Default" bar (Figure 4): always offload at the first
 /// feasible location and wait until the second operand arrives.
 class AlwaysWaitPolicy final : public Policy {

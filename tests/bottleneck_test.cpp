@@ -273,8 +273,7 @@ class ClassifyEndToEnd : public ::testing::Test {
                                                const std::string& workload,
                                                Scheme scheme) {
     Experiment exp(workload, ndc::workloads::Scale::kTest, ndc::arch::ArchConfig{});
-    exp.set_obs(ob);
-    return exp.Run(scheme);
+    return exp.Run(scheme, {ob});
   }
 
   static ndc::obs::ObsOptions SampledOptions() {

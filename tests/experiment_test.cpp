@@ -1,12 +1,16 @@
 // metrics::Experiment unit tests: result caching semantics, the observe run
-// standing in for the baseline, ImprovementPct edge cases, the
+// standing in for the baseline, one lowering and one profile per Experiment
+// under concurrent callers, ImprovementPct edge cases, the
 // cached-program fast path of RunCompiled, and cell-for-cell
 // determinism of a parallel harness sweep against a serial one.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/sweep.hpp"
 #include "metrics/experiment.hpp"
@@ -59,6 +63,67 @@ TEST(Experiment, ObserveStandsInForTheBaselineRun) {
                    ImprovementPct(fresh.Baseline().makespan, oracle.run.makespan));
   EXPECT_DOUBLE_EQ(alg2.improvement_pct,
                    ImprovementPct(fresh.Baseline().makespan, alg2.run.makespan));
+}
+
+std::uint64_t Lowerings() { return obs::GlobalPhases().count(obs::Phase::kLowerTraces); }
+
+// The base traces are lowered at most once per Experiment, even when several
+// threads ask at once. The profile runs reuse them but never fill the cache,
+// and a measured run lowers before it asks for its profile, so a lone
+// Oracle cell lowers once.
+TEST(Experiment, LowersTheBaseTracesOnce) {
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "phase counters need NDC_OBS";
+  arch::ArchConfig cfg;
+  Experiment exp("md", Scale::kTest, cfg);
+  std::uint64_t before = Lowerings();
+  (void)exp.Observe();
+  (void)exp.Baseline();
+  EXPECT_EQ(Lowerings() - before, 2u);  // one private copy per profile run
+
+  std::vector<const std::vector<arch::Trace>*> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] { seen[t] = &exp.BaselineTraces(); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(Lowerings() - before, 3u);
+  for (const auto* traces : seen) EXPECT_EQ(traces, seen.front());
+
+  Experiment lone("md", Scale::kTest, cfg);
+  before = Lowerings();
+  (void)lone.Run(Scheme::kOracle);
+  EXPECT_EQ(Lowerings() - before, 1u);
+}
+
+// Cells of one profile group run concurrently on one Experiment: the first
+// to need the observe run simulates it, the others wait for it, and every
+// result equals the one from a private Experiment.
+TEST(Experiment, ConcurrentRunsShareOneProfile) {
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "run counters need NDC_OBS";
+  arch::ArchConfig cfg;
+  // Only profile-driven schemes: a Default run finishing before the observe
+  // run would take its makespan from a baseline run instead.
+  const Scheme schemes[] = {Scheme::kOracle, Scheme::kWait5, Scheme::kWait25, Scheme::kWait50};
+  Experiment shared("fft", Scale::kTest, cfg);
+  std::vector<SchemeResult> got(std::size(schemes));
+  obs::PhaseProfiler::Snapshot before = obs::GlobalPhases().Take();
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&, i] { got[i] = shared.Run(schemes[i]); });
+  }
+  for (std::thread& t : threads) t.join();
+  std::map<std::string, std::uint64_t> runs = obs::GlobalPhases().Take().RunsSince(before);
+  EXPECT_EQ(runs.at("observe"), 1u);
+  EXPECT_EQ(runs.at("baseline"), 0u);
+  EXPECT_EQ(runs.at("policy"), got.size());
+
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    Experiment alone("fft", Scale::kTest, cfg);
+    SchemeResult want = alone.Run(schemes[i]);
+    EXPECT_EQ(got[i].run.makespan, want.run.makespan) << SchemeName(schemes[i]);
+    EXPECT_EQ(got[i].run.stats.all(), want.run.stats.all()) << SchemeName(schemes[i]);
+    EXPECT_DOUBLE_EQ(got[i].improvement_pct, want.improvement_pct) << SchemeName(schemes[i]);
+  }
 }
 
 TEST(ImprovementPct, ZeroBaselineYieldsZeroNotDivisionByZero) {

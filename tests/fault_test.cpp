@@ -256,11 +256,9 @@ TEST(DecisionLog, RetriesAreCountedAndEmittedOnlyWhenNonZero) {
 ConservationInputs RunFaulted(metrics::Experiment& exp, const FaultSchedule& sched,
                               metrics::SchemeResult* out,
                               metrics::Scheme scheme = metrics::Scheme::kAlgorithm1) {
-  exp.set_faults(&sched);
-  *out = exp.Run(scheme);
-  exp.set_faults(nullptr);
-  EXPECT_TRUE(exp.have_fault_report());
-  return exp.last_conservation();
+  *out = exp.Run(scheme, {nullptr, &sched});
+  EXPECT_TRUE(out->fault_report.has_value());
+  return out->fault_report ? out->fault_report->conservation : ConservationInputs{};
 }
 
 TEST(Machine, TotalBankOutageForcesRetriesThenDegradesGracefully) {
@@ -347,12 +345,11 @@ TEST(Machine, EmptyScheduleIsBitIdenticalToNoSchedule) {
   FaultSchedule empty;
   ASSERT_TRUE(empty.Empty());
   metrics::Experiment faulted("fft", workloads::Scale::kTest, cfg);
-  faulted.set_faults(&empty);
-  metrics::SchemeResult b = faulted.Run(metrics::Scheme::kAlgorithm1);
+  metrics::SchemeResult b = faulted.Run(metrics::Scheme::kAlgorithm1, {nullptr, &empty});
 
   EXPECT_EQ(a.run.makespan, b.run.makespan);
   EXPECT_EQ(a.run.stats.all(), b.run.stats.all());
-  EXPECT_FALSE(faulted.have_fault_report());
+  EXPECT_FALSE(b.fault_report.has_value());
   // No fault counter may leak into the fault-free stat set (golden freeze).
   for (const auto& [name, value] : a.run.stats.all()) {
     EXPECT_EQ(name.find("ndc.retries"), std::string::npos) << name;

@@ -14,12 +14,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "arch/trace.hpp"
@@ -504,6 +506,16 @@ TEST(FuzzFlags, ParseUintEdgeCases) {
   EXPECT_EQ(cli::ParseUint("0", 1, kMax), std::nullopt);
   EXPECT_EQ(cli::ParseUint("8", 0, 7), std::nullopt);
   EXPECT_EQ(cli::ParseUint("4", 5, 9), std::nullopt);
+
+  // Lists: every element goes through ParseUint, and none may be empty.
+  using List = std::vector<std::uint64_t>;
+  EXPECT_EQ(cli::ParseUintList("4", 1, INT_MAX), List({4}));
+  EXPECT_EQ(cli::ParseUintList("2,4,16", 1, INT_MAX), List({2, 4, 16}));
+  EXPECT_EQ(cli::ParseUintList("2147483647", 1, INT_MAX), List({2147483647}));
+  for (const char* bad : {"", ",", "4,", ",4", "4,,8", "4, 8", " 4", "+3", "-3", "0",
+                          "4,0", "2147483648", "4294967298", "4;8", "4x"}) {
+    EXPECT_EQ(cli::ParseUintList(bad, 1, INT_MAX), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 TEST_P(FuzzParserSeeds, ParseUintAgreesWithTheStrtoullCheck) {

@@ -1,6 +1,7 @@
 // src/harness unit tests: the JSON codec, cache-key semantics, CellResult
 // round-tripping, the on-disk result cache, ParallelFor, the warm-sweep
-// zero-simulation guarantee, and profile runs shared across sweep cells.
+// zero-simulation guarantee, profile runs shared across sweep cells, and
+// the figure registry.
 
 #include <gtest/gtest.h>
 
@@ -363,7 +364,10 @@ TEST(Sweep, SharedProfilesMatchCellsRunAlone) {
   lone.cfg.mesh_width = lone.cfg.mesh_height = 6;
 
   std::vector<CellResult> alone;
-  for (const CellSpec& c : spec.cells) alone.push_back(RunCell(c));
+  for (const CellSpec& c : spec.cells) {
+    metrics::Experiment exp(c.workload, c.scale, c.cfg, c.seed);
+    alone.push_back(RunCell(c, exp));
+  }
 
   for (int jobs : {1, 4}) {
     SweepOptions opt;
@@ -422,6 +426,25 @@ TEST(Figures, ParallelRunRendersTheSameTableAsSerial) {
 TEST(Figures, UnknownFigureNameFails) {
   FigureOptions opt;
   EXPECT_EQ(RunFigure("not-a-figure", opt), 2);
+}
+
+// A record figure simulates outside RunSweep, but its summary line counts
+// its Machine runs the way a sweep's does: fig05 observes ocean and
+// radiosity once each.
+TEST(Figures, RecordFigureSummaryCountsItsRuns) {
+  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "run counters need NDC_OBS";
+  FigureOptions opt;
+  opt.scale = workloads::Scale::kTest;
+  opt.jobs = 2;
+  SweepSummary summary;
+  testing::internal::CaptureStdout();
+  int rc = RunFigure("fig05", opt, &summary);
+  testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0);
+  std::map<std::string, std::uint64_t> want = {
+      {"baseline", 0}, {"observe", 2}, {"policy", 0}, {"compiled", 0}};
+  EXPECT_EQ(summary.runs, want);
+  EXPECT_GT(summary.sim_events, 0u);
 }
 
 // Reads every regular file under `dir` into a name -> contents map.

@@ -248,8 +248,7 @@ class ObsEndToEnd : public ::testing::Test {
   static ndc::metrics::SchemeResult RunWith(Observability* ob, const std::string& workload,
                                             Scheme scheme) {
     Experiment exp(workload, ndc::workloads::Scale::kTest, ndc::arch::ArchConfig{});
-    exp.set_obs(ob);
-    return exp.Run(scheme);
+    return exp.Run(scheme, {ob});
   }
 };
 
@@ -371,10 +370,9 @@ TEST_F(ObsEndToEnd, OracleDecisionAuditAccountsForEveryCandidate) {
 TEST_F(ObsEndToEnd, CompiledSchemeAuditsDecisionsToo) {
   Observability ob;
   Experiment exp("md", ndc::workloads::Scale::kTest, ndc::arch::ArchConfig{});
-  exp.set_obs(&ob);
   ndc::compiler::CompileOptions copt;
   copt.mode = ndc::compiler::Mode::kAlgorithm1;
-  ndc::metrics::SchemeResult r = exp.RunCompiled(copt);
+  ndc::metrics::SchemeResult r = exp.RunCompiled(copt, {&ob});
   EXPECT_EQ(ob.decisions.entries().size(), r.run.candidates);
   EXPECT_EQ(ob.decisions.unresolved(), 0u);
 }

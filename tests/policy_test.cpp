@@ -209,10 +209,5 @@ TEST(OracleTest, UnknownInstanceStaysConventional) {
   EXPECT_FALSE(p.Decide(0, 123, 0, 0, 0, kAll).offload);
 }
 
-TEST(NoNdc, NeverOffloads) {
-  NoNdcPolicy p;
-  EXPECT_FALSE(p.Decide(0, 0, 0, 0, 0, kAll).offload);
-}
-
 }  // namespace
 }  // namespace ndc::runtime

@@ -240,12 +240,9 @@ TEST(SyncMachine, ConservationHoldsUnderSyncContentionStorms) {
       spec.intensity = seed == 1u ? 0.5 : 1.0;
       fault::FaultSchedule sched = fault::MakeStorm(spec);
       metrics::Experiment exp(name, workloads::Scale::kTest, cfg);
-      exp.set_faults(&sched);
-      metrics::SchemeResult r = exp.Run(metrics::Scheme::kBaseline);
-      exp.set_faults(nullptr);
-      ASSERT_TRUE(exp.have_fault_report()) << name;
-      fault::ConservationReport rep =
-          fault::CheckConservation(exp.last_conservation());
+      metrics::SchemeResult r = exp.Run(metrics::Scheme::kBaseline, {nullptr, &sched});
+      ASSERT_TRUE(r.fault_report.has_value()) << name;
+      fault::ConservationReport rep = fault::CheckConservation(r.fault_report->conservation);
       EXPECT_TRUE(rep.ok) << name << " seed=" << seed << "\n" << rep.ToString();
       EXPECT_GT(r.run.makespan, 0u) << name;
     }
@@ -266,10 +263,8 @@ TEST(SyncMachine, StormedSyncRunsAreSeedReproducible) {
   metrics::SchemeResult a, b;
   {
     metrics::Experiment exp("shard.reduce.atomic", workloads::Scale::kTest, cfg);
-    exp.set_faults(&sched);
-    a = exp.Run(metrics::Scheme::kBaseline);
-    b = exp.Run(metrics::Scheme::kBaseline);
-    exp.set_faults(nullptr);
+    a = exp.Run(metrics::Scheme::kBaseline, {nullptr, &sched});
+    b = exp.Run(metrics::Scheme::kBaseline, {nullptr, &sched});
   }
   EXPECT_EQ(a.run.makespan, b.run.makespan);
   EXPECT_EQ(a.run.sync_values, b.run.sync_values);

@@ -150,18 +150,18 @@ int main(int argc, char** argv) {
     oo.window_cycles = args.window;
     ndc::obs::Observability ob(oo);
     ndc::metrics::Experiment exp(name, args.scale, cfg, args.seed);
-    exp.set_obs(&ob);
+    ndc::metrics::RunOptions ro{&ob};
 
     ndc::metrics::SchemeResult r;
     if (args.scheme == "baseline") {
-      r = exp.Run(ndc::metrics::Scheme::kBaseline);
+      r = exp.Run(ndc::metrics::Scheme::kBaseline, ro);
     } else if (args.scheme == "oracle") {
-      r = exp.Run(ndc::metrics::Scheme::kOracle);
+      r = exp.Run(ndc::metrics::Scheme::kOracle, ro);
     } else {
       ndc::compiler::CompileOptions opt;
       opt.mode = args.scheme == "alg2" ? ndc::compiler::Mode::kAlgorithm2
                                        : ndc::compiler::Mode::kAlgorithm1;
-      r = exp.RunCompiled(opt);
+      r = exp.RunCompiled(opt, ro);
     }
 
     ndc::obs::UtilizationSignals sig =

@@ -177,15 +177,15 @@ int main(int argc, char** argv) {
 
   ndc::metrics::Experiment exp(args.workload, args.scale, ndc::arch::ArchConfig{},
                                args.seed);
-  exp.set_obs(&ob);
+  ndc::metrics::RunOptions ro{&ob};
   ndc::metrics::SchemeResult r;
   if (scheme == Scheme::kAlgorithm1 || scheme == Scheme::kAlgorithm2) {
     ndc::compiler::CompileOptions copt;
     copt.mode = scheme == Scheme::kAlgorithm2 ? ndc::compiler::Mode::kAlgorithm2
                                               : ndc::compiler::Mode::kAlgorithm1;
-    r = exp.RunCompiled(copt);
+    r = exp.RunCompiled(copt, ro);
   } else {
-    r = exp.Run(scheme);
+    r = exp.Run(scheme, ro);
   }
 
   std::printf("# ndc-trace: %s / %s (scale=%s, seed=%llu, sample=1/%llu)\n",
