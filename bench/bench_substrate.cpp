@@ -1,13 +1,17 @@
 // Substrate throughput benchmark: events/sec, ns/event, and allocs/event
 // for the discrete-event core (calendar EventQueue vs the seed binary-heap
 // LegacyEventQueue, plus a wide chain shaped like a whole-machine run),
-// and end-to-end MemCtrl and NoC event streams.
+// and end-to-end MemCtrl and NoC event streams; and the code generator's
+// heap traffic per emitted instruction (the `lower:*` rows, whose "events"
+// are instructions).
 //
 // Emits a machine-readable JSON report (default BENCH_substrate.json) that
-// CI's substrate-perf job checks against two floors:
+// CI's substrate-perf job checks against three floors:
 //   - speedup_vs_legacy >= --min-speedup (calendar vs seed queue, same box)
 //   - allocs_per_event ~= 0 on the pure scheduling benches (the hot
 //     ScheduleAfter(small delay) path must not touch the heap)
+//   - lower_allocs_per_instr, the worst `lower:*` row, stays near 0
+//     (compiler::Lower does no heap work per iteration or instruction)
 //
 // Allocation counts come from an instrumented global operator new/delete in
 // this translation unit, sampled after a warmup pass so one-time pool/bucket
@@ -15,6 +19,7 @@
 //
 // Usage: bench_substrate [--events=N] [--out=FILE]
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -27,6 +32,8 @@
 #include <vector>
 
 #include "cli/flags.hpp"
+#include "compiler/codegen.hpp"
+#include "compiler/pipeline.hpp"
 #include "mem/address_map.hpp"
 #include "mem/dram.hpp"
 #include "mem/memctrl.hpp"
@@ -35,6 +42,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/legacy_event_queue.hpp"
 #include "sim/rng.hpp"
+#include "workloads/sharded.hpp"
+#include "workloads/workloads.hpp"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator: every heap allocation in the process bumps a
@@ -265,10 +274,40 @@ BenchResult NocBench(std::uint64_t packets) {
   return Measure("noc_stream", [&] { eq.RunUntilEmpty(); }, [&] { return eq.executed(); });
 }
 
+// --- Code generation: heap allocations per emitted instruction -------------
+// Lowers every shard.* scenario (atomic, lock, post/wait and barrier sync
+// included) and swim after Algorithm 2 (pre-computes gated per iteration by
+// the CME predictor), all at full scale on the 5x5 mesh. Building and
+// compiling the programs stays off the clock.
+
+BenchResult LowerBench(const std::string& name, const ir::Program& prog,
+                       const arch::ArchConfig& cfg) {
+  std::uint64_t instrs = 0;
+  return Measure(("lower:" + name).c_str(),
+                 [&] { instrs = compiler::Lower(prog, cfg.num_nodes(), &cfg).total_instrs; },
+                 [&] { return instrs; });
+}
+
+std::vector<BenchResult> LowerBenches() {
+  arch::ArchConfig cfg;
+  std::vector<BenchResult> rows;
+  for (const std::string& name : workloads::ShardedNames()) {
+    rows.push_back(LowerBench(
+        name, workloads::BuildShardedWorkload(name, workloads::Scale::kFull, cfg.num_nodes()),
+        cfg));
+  }
+  ir::Program swim = workloads::BuildWorkload("swim", workloads::Scale::kFull);
+  compiler::CompileOptions opt;
+  opt.mode = compiler::Mode::kAlgorithm2;
+  compiler::Compile(swim, compiler::ArchDescription(cfg), opt);
+  rows.push_back(LowerBench("swim.algorithm-2", swim, cfg));
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 
 void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
-               double speedup, std::uint64_t events_target) {
+               double speedup, double lower_allocs, std::uint64_t events_target) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_substrate: cannot write %s\n", path.c_str());
@@ -278,6 +317,7 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& rows,
   std::fprintf(f, "  \"events_target\": %llu,\n",
                static_cast<unsigned long long>(events_target));
   std::fprintf(f, "  \"speedup_vs_legacy\": %.3f,\n", speedup);
+  std::fprintf(f, "  \"lower_allocs_per_instr\": %.6f,\n", lower_allocs);
   std::fprintf(f, "  \"benches\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchResult& r = rows[i];
@@ -324,6 +364,11 @@ int Main(int argc, char** argv) {
   rows.push_back(MixedBench(events));
   rows.push_back(MemCtrlBench(events / 4));
   rows.push_back(NocBench(events / 8));
+  double lower_allocs = 0.0;
+  for (BenchResult& r : LowerBenches()) {
+    lower_allocs = std::max(lower_allocs, r.allocs_per_event());
+    rows.push_back(std::move(r));
+  }
 
   double speedup = rows[1].events_per_sec() > 0
                        ? rows[0].events_per_sec() / rows[1].events_per_sec()
@@ -331,15 +376,16 @@ int Main(int argc, char** argv) {
 
   std::printf("# bench_substrate  (events=%llu)\n",
               static_cast<unsigned long long>(events));
-  std::printf("%-24s %14s %12s %12s %16s\n", "bench", "events", "Mev/s", "ns/event",
+  std::printf("%-28s %14s %12s %12s %16s\n", "bench", "events", "Mev/s", "ns/event",
               "allocs/event");
   for (const BenchResult& r : rows) {
-    std::printf("%-24s %14llu %12.2f %12.2f %16.6f\n", r.name.c_str(),
+    std::printf("%-28s %14llu %12.2f %12.2f %16.6f\n", r.name.c_str(),
                 static_cast<unsigned long long>(r.events), r.events_per_sec() / 1e6,
                 r.ns_per_event(), r.allocs_per_event());
   }
   std::printf("speedup_vs_legacy = %.2fx\n", speedup);
-  WriteJson(out, rows, speedup, events);
+  std::printf("lower_allocs_per_instr = %.6f\n", lower_allocs);
+  WriteJson(out, rows, speedup, lower_allocs, events);
   return 0;
 }
 

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Enforce the substrate performance floors from a BENCH_substrate.json.
 
-Two gates, both measured on the same machine in the same process so they are
-robust to runner speed:
+Three gates, all measured on the same machine in the same process so they
+are robust to runner speed:
   - the calendar queue must beat the seed binary-heap queue by at least
     --min-speedup on the hot small-delay scheduling path;
   - the hot path must be allocation-free in steady state: the calendar_chain
-    bench may average at most --max-allocs-per-event heap allocations.
+    bench may average at most --max-allocs-per-event heap allocations;
+  - lowering must do no heap work per iteration: lower_allocs_per_instr (the
+    worst `lower:*` row's allocations per emitted instruction) may be at most
+    --max-lower-allocs-per-instr.
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
+           [--max-lower-allocs-per-instr=0.05]
 Exit: 0 within floors, 1 floor violated, 2 usage/parse errors.
 """
 
@@ -21,11 +25,14 @@ def main(argv):
     path = None
     min_speedup = 2.0
     max_allocs = 0.01
+    max_lower_allocs = 0.05
     for arg in argv[1:]:
         if arg.startswith("--min-speedup="):
             min_speedup = float(arg.split("=", 1)[1])
         elif arg.startswith("--max-allocs-per-event="):
             max_allocs = float(arg.split("=", 1)[1])
+        elif arg.startswith("--max-lower-allocs-per-instr="):
+            max_lower_allocs = float(arg.split("=", 1)[1])
         elif arg.startswith("--"):
             print(__doc__, file=sys.stderr)
             return 2
@@ -47,9 +54,14 @@ def main(argv):
         print("check_substrate_perf: report lacks calendar_chain/legacy_chain",
               file=sys.stderr)
         return 2
+    if "lower_allocs_per_instr" not in report:
+        print("check_substrate_perf: report lacks lower_allocs_per_instr",
+              file=sys.stderr)
+        return 2
 
     speedup = report.get("speedup_vs_legacy", 0.0)
     allocs = benches["calendar_chain"]["allocs_per_event"]
+    lower_allocs = report["lower_allocs_per_instr"]
 
     ok = True
     if speedup < min_speedup:
@@ -65,9 +77,16 @@ def main(argv):
     else:
         print(f"ok   calendar_chain allocs/event = {allocs:.6f} "
               f"(ceiling {max_allocs})")
+    if lower_allocs > max_lower_allocs:
+        print(f"FAIL lower allocs/instr = {lower_allocs:.6f} > "
+              f"ceiling {max_lower_allocs}", file=sys.stderr)
+        ok = False
+    else:
+        print(f"ok   lower allocs/instr = {lower_allocs:.6f} "
+              f"(ceiling {max_lower_allocs})")
 
     for row in report.get("benches", []):
-        print(f"     {row['name']:<24} {row['events_per_sec'] / 1e6:8.2f} Mev/s "
+        print(f"     {row['name']:<28} {row['events_per_sec'] / 1e6:8.2f} Mev/s "
               f"{row['ns_per_event']:8.2f} ns/event "
               f"{row['allocs_per_event']:10.6f} allocs/event")
     return 0 if ok else 1

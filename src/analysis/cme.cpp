@@ -123,6 +123,15 @@ CmePredictor::CmePredictor(const ir::Program& prog, const ir::LoopNest& nest, Ca
       }
       st.reuse_l1 = AnalyzeReuse(prog, nest, op, l1.line_bytes);
       if (!st.reuse_l1.has_vector) continue;
+      // F*(I - r) + f = F*I + (f - F*r).
+      st.at_reuse_source = op;
+      ir::AffineAccess& src = st.at_reuse_source.access;
+      for (int r = 0; r < src.F.rows(); ++r) {
+        for (int c = 0; c < src.F.cols(); ++c) {
+          src.f[static_cast<std::size_t>(r)] -=
+              src.F.at(r, c) * st.reuse_l1.reuse_vector[static_cast<std::size_t>(c)];
+        }
+      }
       std::uint64_t span = ReuseSpanIters(st.reuse_l1.reuse_vector);
       double rd = static_cast<double>(span) * footprint_lines_per_iter_;
       double conflicts1 = ConflictPressure(op, span, l1_);
@@ -205,8 +214,8 @@ const CmePredictor::RefState& CmePredictor::StateFor(int stmt_idx, OperandSel se
   return states_[static_cast<std::size_t>(stmt_idx)][static_cast<std::size_t>(sel)];
 }
 
-bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntVec& iter,
-                                    bool level2) const {
+bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel,
+                                    std::span<const ir::Int> iter, bool level2) const {
   const RefState& st = StateFor(stmt_idx, sel);
   if (!st.memory) return false;
   if (st.indirect) return true;  // pessimistic for non-affine references
@@ -222,22 +231,18 @@ bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntV
   const ir::Stmt& stmt = nest_->body[static_cast<std::size_t>(stmt_idx)];
   const ir::Operand& op = SelectOperand(stmt, sel);
   // Cold-face test: did the reuse-source iteration exist?
-  ir::IntVec prev = ir::VecSub(iter, st.reuse_l1.reuse_vector);
-  for (int d = 0; d < nest_->depth(); ++d) {
-    if (prev[static_cast<std::size_t>(d)] < nest_->LoEffective(d, prev) ||
-        prev[static_cast<std::size_t>(d)] > nest_->HiEffective(d, prev)) {
-      // Cold face — unless an earlier nest already streamed this array and
-      // the per-core footprint fits the cache (cross-nest warm data).
-      const CacheSpec& sp = level2 ? l2_ : l1_;
-      double cap = 0.75 * static_cast<double>(sp.Lines());
-      if (level2) cap *= static_cast<double>(num_cores_);  // all banks
-      if (warm_arrays_.count(st.array) != 0 && st.lines_per_core <= cap) return false;
-      return true;  // cold miss
-    }
+  if (!nest_->ContainsBackStep(iter, st.reuse_l1.reuse_vector)) {
+    // Cold face — unless an earlier nest already streamed this array and
+    // the per-core footprint fits the cache (cross-nest warm data).
+    const CacheSpec& sp = level2 ? l2_ : l1_;
+    double cap = 0.75 * static_cast<double>(sp.Lines());
+    if (level2) cap *= static_cast<double>(num_cores_);  // all banks
+    if (warm_arrays_.count(st.array) != 0 && st.lines_per_core <= cap) return false;
+    return true;  // cold miss
   }
   // Spatial reuse must stay on the same line.
   auto cur_addr = prog_->ResolveAddr(op, iter);
-  auto prev_addr = prog_->ResolveAddr(op, prev);
+  auto prev_addr = prog_->ResolveAddr(st.at_reuse_source, iter);
   const CacheSpec& spec = level2 ? l2_ : l1_;
   if (cur_addr && prev_addr &&
       (*cur_addr / spec.line_bytes) != (*prev_addr / spec.line_bytes)) {
@@ -249,31 +254,31 @@ bool CmePredictor::PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntV
   return level2 ? !st.fits_l2 : !st.fits_l1;
 }
 
-bool CmePredictor::PredictMissL1(int stmt_idx, OperandSel sel, const ir::IntVec& iter) const {
+bool CmePredictor::PredictMissL1(int stmt_idx, OperandSel sel,
+                                 std::span<const ir::Int> iter) const {
   return PredictMissLevel(stmt_idx, sel, iter, /*level2=*/false);
 }
 
-bool CmePredictor::PredictMissL2(int stmt_idx, OperandSel sel, const ir::IntVec& iter) const {
+bool CmePredictor::PredictMissL2(int stmt_idx, OperandSel sel,
+                                 std::span<const ir::Int> iter) const {
   return PredictMissLevel(stmt_idx, sel, iter, /*level2=*/true);
 }
 
 double CmePredictor::SampleMissProb(int stmt_idx, OperandSel sel, bool level2) const {
   // Sample evenly spaced iterations with an odd stride so the samples do
   // not alias with power-of-two cache-line periods.
-  std::vector<ir::IntVec> samples;
   ir::Int total = nest_->NumIterations();
   ir::Int step = std::max<ir::Int>(1, total / 256) | 1;
   ir::Int n = 0;
-  nest_->ForEachIteration([&](const ir::IntVec& iter) {
-    if (n % step == 0) samples.push_back(iter);
-    ++n;
-  });
-  if (samples.empty()) return 1.0;
+  int samples = 0;
   int misses = 0;
-  for (const ir::IntVec& it : samples) {
-    if (PredictMissLevel(stmt_idx, sel, it, level2)) ++misses;
-  }
-  return static_cast<double>(misses) / static_cast<double>(samples.size());
+  nest_->ForEachIteration([&](const ir::IntVec& iter) {
+    if (n++ % step != 0) return;
+    ++samples;
+    if (PredictMissLevel(stmt_idx, sel, iter, level2)) ++misses;
+  });
+  if (samples == 0) return 1.0;
+  return static_cast<double>(misses) / static_cast<double>(samples);
 }
 
 double CmePredictor::MissProbL1(int stmt_idx, OperandSel sel) const {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "analysis/reuse.hpp"
@@ -48,10 +49,10 @@ class CmePredictor {
 
   /// Per-dynamic-access prediction: will this operand access miss L1 at
   /// iteration `iter`?
-  bool PredictMissL1(int stmt_idx, OperandSel sel, const ir::IntVec& iter) const;
+  bool PredictMissL1(int stmt_idx, OperandSel sel, std::span<const ir::Int> iter) const;
 
   /// Per-dynamic-access L2 prediction, *conditional on an L1 miss*.
-  bool PredictMissL2(int stmt_idx, OperandSel sel, const ir::IntVec& iter) const;
+  bool PredictMissL2(int stmt_idx, OperandSel sel, std::span<const ir::Int> iter) const;
 
   /// Expected miss ratios for a reference (sampled over the iteration
   /// space) — the gating inputs of Algorithm 1.
@@ -63,6 +64,9 @@ class CmePredictor {
     bool memory = false;
     bool indirect = false;
     ReuseInfo reuse_l1;
+    /// With a reuse vector r: this operand with its offset moved so that
+    /// it addresses at I what the operand addresses at I - r.
+    ir::Operand at_reuse_source;
     bool fits_l1 = false;
     bool fits_l2 = false;
     int array = -1;
@@ -73,7 +77,7 @@ class CmePredictor {
   };
 
   const RefState& StateFor(int stmt_idx, OperandSel sel) const;
-  bool PredictMissLevel(int stmt_idx, OperandSel sel, const ir::IntVec& iter,
+  bool PredictMissLevel(int stmt_idx, OperandSel sel, std::span<const ir::Int> iter,
                         bool level2) const;
   double SampleMissProb(int stmt_idx, OperandSel sel, bool level2) const;
 

@@ -1,10 +1,10 @@
 #include "compiler/codegen.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <span>
 
 #include "analysis/cme.hpp"
 
@@ -37,29 +37,103 @@ struct Emission {
   }
 };
 
-// Key for remembering where a load was emitted (for dependences).
-struct LoadKey {
-  int stmt;
-  ir::Int j;
-  int which;  // 0/1 = operand, 2 = store-index, 3 = lock acquire
-  bool operator<(const LoadKey& o) const {
-    if (stmt != o.stmt) return stmt < o.stmt;
-    if (j != o.j) return j < o.j;
-    return which < o.which;
+// Where each iteration's instructions landed in the trace, for wiring
+// dependences: per local iteration j, each statement's two operand loads,
+// its lock acquire and its computation, then the iteration's wait and its
+// last instruction. -1 marks "not emitted". One flat table, reused by every
+// core and nest of a lowering.
+class DepTable {
+ public:
+  enum Slot : int { kOperand0 = 0, kOperand1 = 1, kAcquire = 2, kComputed = 3 };
+
+  void Reset(std::size_t iters, std::size_t stmts) {
+    stmts_ = stmts;
+    stride_ = stmts * kPerStmt + 2;
+    at_.assign(iters * stride_, -1);
   }
+  std::int32_t& at(int stmt, ir::Int j, int slot) {
+    return at_[Row(j) + static_cast<std::size_t>(stmt) * kPerStmt + static_cast<std::size_t>(slot)];
+  }
+  std::int32_t& wait(ir::Int j) { return at_[Row(j) + stmts_ * kPerStmt]; }
+  std::int32_t& last(ir::Int j) { return at_[Row(j) + stmts_ * kPerStmt + 1]; }
+
+ private:
+  static constexpr std::size_t kPerStmt = 4;
+  std::size_t Row(ir::Int j) const { return static_cast<std::size_t>(j) * stride_; }
+  std::size_t stmts_ = 0;
+  std::size_t stride_ = 0;
+  std::vector<std::int32_t> at_;
 };
 
 // Deterministic per-iteration reduction payload. Both lowering schemes
 // (remote fetch-add and lock-guarded host RMW) contribute the same value
 // for the same iteration, so the engines' final value maps agree across
 // schemes — the cross-scheme equivalence the sync tests assert.
-ir::Int ReductionPayload(const ir::IntVec& iter) {
+ir::Int ReductionPayload(std::span<const ir::Int> iter) {
   return 1 + ((iter.front() * 31 + iter.back()) % 13);
+}
+
+bool PostWait(const ir::LoopNest& nest) {
+  return nest.sync.kind == ir::SyncKind::kPostWait && nest.sync.sync_array >= 0;
+}
+
+bool BarrierAfter(const ir::LoopNest& nest) {
+  return nest.sync.barrier_after && nest.sync.sync_array >= 0;
+}
+
+// Most instructions one iteration of `nest` emits (every address in bounds),
+// so each core's trace can be sized once.
+std::size_t MaxInstrsPerIteration(const ir::LoopNest& nest) {
+  auto load = [](const ir::Operand& o) -> std::size_t {
+    if (!o.IsMemory()) return 0;
+    return o.kind == ir::Operand::Kind::kIndirect ? 2 : 1;  // index load + data load
+  };
+  std::size_t n = PostWait(nest) ? 2 : 0;  // wait + post
+  for (const ir::Stmt& st : nest.body) {
+    switch (st.sync.kind) {
+      case ir::SyncKind::kNdcAtomic:
+        n += load(st.rhs1) + 1;  // fetch-add
+        break;
+      case ir::SyncKind::kHostLock:
+        n += load(st.rhs1) + load(st.rhs0) + 4;  // acquire, compute, store, release
+        break;
+      default:
+        n += load(st.rhs0) + load(st.rhs1) + 1 + (st.lhs.IsMemory() ? 1 : 0);
+        break;
+    }
+  }
+  return n;
+}
+
+// Index of the row of `rows` (a nest's iterations in lexicographic order,
+// `depth` entries each) equal to `iter` with its outer index moved back by
+// `distance`, or -1 when that iteration is not in the nest.
+std::int64_t FindProducerRow(std::span<const ir::Int> rows, std::size_t depth,
+                             std::span<const ir::Int> iter, ir::Int distance) {
+  auto compare = [&](std::size_t r) {
+    for (std::size_t d = 0; d < depth; ++d) {
+      ir::Int want = d == 0 ? iter[0] - distance : iter[d];
+      ir::Int have = rows[r * depth + d];
+      if (have != want) return have < want ? -1 : 1;
+    }
+    return 0;
+  };
+  std::size_t lo = 0;
+  std::size_t hi = rows.size() / depth;
+  while (lo < hi) {
+    std::size_t mid = lo + (hi - lo) / 2;
+    if (compare(mid) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < rows.size() / depth && compare(lo) == 0 ? static_cast<std::int64_t>(lo) : -1;
 }
 
 }  // namespace
 
-int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_cores) {
+int CoreForIteration(const ir::LoopNest& nest, std::span<const ir::Int> iter, int num_cores) {
   const ir::Loop& outer = nest.loops.front();
   ir::Int span = outer.hi - outer.lo + 1;
   ir::Int chunk = (span + num_cores - 1) / num_cores;
@@ -68,11 +142,49 @@ int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_c
 }
 
 CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConfig* cfg) {
+  const auto cores = static_cast<std::size_t>(num_cores);
   CodegenResult out;
-  out.traces.assign(static_cast<std::size_t>(num_cores), {});
+  out.traces.assign(cores, {});
+
+  // Each nest's iterations form one flat block (depth entries per row) in
+  // original, lexicographic order. CoreForIteration is monotone in the
+  // outer index, so core c runs the contiguous rows
+  // [first[n][c], first[n][c + 1]) of nest n. Counting them up front sizes
+  // every core's trace once.
+  std::vector<std::vector<std::size_t>> first(prog.nests.size(),
+                                              std::vector<std::size_t>(cores + 1, 0));
+  {
+    std::vector<std::size_t> capacity(cores, 0);
+    for (std::size_t n = 0; n < prog.nests.size(); ++n) {
+      const ir::LoopNest& nest = prog.nests[n];
+      std::vector<std::size_t>& f = first[n];
+      nest.ForEachIteration([&](const ir::IntVec& iter) {
+        ++f[static_cast<std::size_t>(CoreForIteration(nest, iter, num_cores)) + 1];
+      });
+      const std::size_t per_iter = MaxInstrsPerIteration(nest);
+      for (std::size_t c = 0; c < cores; ++c) {
+        capacity[c] += f[c + 1] * per_iter + (BarrierAfter(nest) && f[c + 1] > 0 ? 1 : 0);
+        f[c + 1] += f[c];
+      }
+    }
+    for (std::size_t c = 0; c < cores; ++c) out.traces[c].reserve(capacity[c]);
+  }
+
+  // Scratch reused by every nest and core.
+  std::vector<ir::Int> block;     // the nest's iterations
+  std::vector<ir::Int> keys;      // T*I per iteration of one core
+  std::vector<std::size_t> perm;  // that core's iterations in T*I order
+  std::vector<ir::Int> sorted;    // its rows, permuted
+  std::vector<Emission> emissions;
+  DepTable deps;
 
   std::set<int> warm_arrays;
-  for (const ir::LoopNest& nest : prog.nests) {
+  for (std::size_t n = 0; n < prog.nests.size(); ++n) {
+    const ir::LoopNest& nest = prog.nests[n];
+    const std::vector<std::size_t>& f = first[n];
+    const auto depth = static_cast<std::size_t>(nest.depth());
+    const auto nstmts = static_cast<int>(nest.body.size());
+
     // Per-iteration CME gate for NDC-annotated statements: the pre-compute
     // is emitted only where both operands are predicted to miss the L1
     // (the paper's compiler "first checks whether x in S1 and y in S2
@@ -88,51 +200,64 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       }
     }
 
-    // Partition iterations by core, preserving original order.
-    std::vector<std::vector<ir::IntVec>> per_core(static_cast<std::size_t>(num_cores));
-    nest.ForEachIteration([&](const ir::IntVec& iter) {
-      per_core[static_cast<std::size_t>(CoreForIteration(nest, iter, num_cores))].push_back(iter);
-    });
+    block.clear();
+    block.reserve(f[cores] * depth);
+    nest.ForEachIteration(
+        [&](const ir::IntVec& iter) { block.insert(block.end(), iter.begin(), iter.end()); });
 
-    // Post/wait DOACROSS lowering needs to know, for each iteration, which
-    // core runs it and at which local position (the wait threshold is the
-    // producer's 1-based position). Sync-annotated nests never carry a
-    // schedule transform (the pipeline refuses transforms on annotated
-    // nests), so the partition order above is final.
-    const bool postwait =
-        nest.sync.kind == ir::SyncKind::kPostWait && nest.sync.sync_array >= 0;
-    std::map<ir::IntVec, std::pair<int, ir::Int>> iter_pos;
-    if (postwait) {
-      for (int c = 0; c < num_cores; ++c) {
-        const std::vector<ir::IntVec>& its = per_core[static_cast<std::size_t>(c)];
-        for (std::size_t k = 0; k < its.size(); ++k) {
-          iter_pos[its[k]] = {c, static_cast<ir::Int>(k)};
-        }
-      }
-    }
+    // Post/wait DOACROSS lowering needs, for each iteration, the core that
+    // runs its producer and the producer's local position (the wait
+    // threshold is its 1-based position). Sync-annotated nests never carry
+    // a schedule transform (the pipeline refuses transforms on annotated
+    // nests), so positions in the partition order are final.
+    const bool postwait = PostWait(nest);
     int participants = 0;
-    if (nest.sync.barrier_after && nest.sync.sync_array >= 0) {
-      for (int c = 0; c < num_cores; ++c) {
-        if (!per_core[static_cast<std::size_t>(c)].empty()) ++participants;
-      }
+    if (BarrierAfter(nest)) {
+      for (std::size_t c = 0; c < cores; ++c) participants += f[c + 1] > f[c] ? 1 : 0;
     }
 
     for (int core = 0; core < num_cores; ++core) {
-      std::vector<ir::IntVec>& iters = per_core[static_cast<std::size_t>(core)];
-      if (iters.empty()) continue;
+      const std::size_t begin = f[static_cast<std::size_t>(core)];
+      const std::size_t count = f[static_cast<std::size_t>(core) + 1] - begin;
+      if (count == 0) continue;
+      const ir::Int* rows = block.data() + begin * depth;
       if (nest.transform.has_value()) {
+        // Execute in lexicographic order of T*I; equal keys keep their
+        // original order.
         const ir::IntMat& T = *nest.transform;
-        std::stable_sort(iters.begin(), iters.end(),
-                         [&](const ir::IntVec& a, const ir::IntVec& b) {
-                           return ir::LexCompare(T.Apply(a), T.Apply(b)) < 0;
-                         });
+        const auto kd = static_cast<std::size_t>(T.rows());
+        keys.assign(count * kd, 0);
+        for (std::size_t j = 0; j < count; ++j) {
+          for (std::size_t r = 0; r < kd; ++r) {
+            ir::Int k = 0;
+            for (std::size_t c = 0; c < depth; ++c) {
+              k += T.at(static_cast<int>(r), static_cast<int>(c)) * rows[j * depth + c];
+            }
+            keys[j * kd + r] = k;
+          }
+        }
+        perm.resize(count);
+        std::iota(perm.begin(), perm.end(), std::size_t{0});
+        std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+          const ir::Int* ka = keys.data() + a * kd;
+          const ir::Int* kb = keys.data() + b * kd;
+          auto [pa, pb] = std::mismatch(ka, ka + kd, kb);
+          return pa != ka + kd ? *pa < *pb : a < b;
+        });
+        sorted.resize(count * depth);
+        for (std::size_t j = 0; j < count; ++j) {
+          std::copy_n(rows + perm[j] * depth, depth, sorted.data() + j * depth);
+        }
+        rows = sorted.data();
       }
-      auto m = static_cast<ir::Int>(iters.size());
+      auto iter_at = [&](ir::Int j) {
+        return std::span<const ir::Int>(rows + static_cast<std::size_t>(j) * depth, depth);
+      };
+      auto m = static_cast<ir::Int>(count);
       auto clamp_slot = [m](ir::Int s) { return std::clamp<ir::Int>(s, 0, m - 1); };
 
-      std::vector<Emission> emissions;
-      emissions.reserve(static_cast<std::size_t>(m) * nest.body.size() * 4);
-      for (int s = 0; s < static_cast<int>(nest.body.size()); ++s) {
+      emissions.clear();
+      for (int s = 0; s < nstmts; ++s) {
         const ir::Stmt& st = nest.body[static_cast<std::size_t>(s)];
         if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
           // The RMW collapses to one remote fetch-add: load the contributed
@@ -191,50 +316,38 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
         // (stmt == body.size(), sorts after).
         for (ir::Int j = 0; j < m; ++j) {
           emissions.push_back({j, -1, kIdx0, j});
-          emissions.push_back({j, static_cast<int>(nest.body.size()), kStoreP, j});
+          emissions.push_back({j, nstmts, kStoreP, j});
         }
       }
       std::stable_sort(emissions.begin(), emissions.end());
 
       arch::Trace& trace = out.traces[static_cast<std::size_t>(core)];
       const std::size_t nest_base = trace.size();
-      std::map<LoadKey, std::int32_t> load_at;
-      std::map<LoadKey, std::int32_t> compute_at;
-      std::map<ir::Int, std::int32_t> wait_at;  // j -> wait slot gating its loads
-      std::map<ir::Int, std::int32_t> last_at;  // j -> last emitted instr (post dep)
+      deps.Reset(count, nest.body.size());
 
-      auto emit_operand_load = [&](const ir::Stmt& st, const ir::Operand& op, ir::Int j,
-                                   int which, Phase idx_phase) {
-        (void)idx_phase;
-        const ir::IntVec& iter = iters[static_cast<std::size_t>(j)];
+      auto emit_operand_load = [&](const ir::Stmt& st, int s, const ir::Operand& op, ir::Int j,
+                                   int which) {
+        std::span<const ir::Int> iter = iter_at(j);
         auto addr = prog.ResolveAddr(op, iter);
         if (!addr.has_value()) return;
         std::int32_t dep = -1;
         if (op.kind == ir::Operand::Kind::kIndirect) {
           // Emit the index-array load first; the data load depends on it.
+          // A resolved address implies an in-bounds index subscript.
           const ir::Array& idx_arr = prog.array(op.access.array);
-          ir::IntVec sub = op.access.Subscript(iter);
-          bool ok = true;
-          for (std::size_t d = 0; d < sub.size(); ++d) {
-            ok &= sub[d] >= 0 && sub[d] < idx_arr.dims[d];
-          }
-          if (ok) {
-            arch::Instr il = arch::MakeLoad(idx_arr.AddrOf(sub));
-            il.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2;
-            dep = static_cast<std::int32_t>(trace.size());
-            trace.push_back(il);
-          }
+          arch::Instr il = arch::MakeLoad(
+              idx_arr.base + static_cast<sim::Addr>(*prog.ElementIndex(op.access, iter)) *
+                                 static_cast<sim::Addr>(idx_arr.elem_bytes));
+          il.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2;
+          dep = static_cast<std::int32_t>(trace.size());
+          trace.push_back(il);
         }
-        if (dep < 0) {
-          // Post/wait ordering: the iteration's loads may not leave the
-          // core before its wait has been granted.
-          auto w = wait_at.find(j);
-          if (w != wait_at.end()) dep = w->second;
-        }
+        // Post/wait ordering: the iteration's loads may not leave the core
+        // before its wait has been granted.
+        if (dep < 0) dep = deps.wait(j);
         arch::Instr ld = arch::MakeLoad(*addr, dep);
         ld.pc = st.id * 16 + static_cast<std::uint32_t>(which) * 2 + 1;
-        load_at[{static_cast<int>(&st - nest.body.data()), j, which}] =
-            static_cast<std::int32_t>(trace.size());
+        deps.at(s, j, which) = static_cast<std::int32_t>(trace.size());
         trace.push_back(ld);
       };
 
@@ -243,18 +356,16 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       // acquire -> guarded load/compute/store (never NDC-offloaded: the
       // accumulator line must not meet in-network while a lock orders it)
       // -> release carrying the payload for the engine's value map.
-      auto emit_sync_stmt = [&](const Emission& e, const ir::Stmt& st, const ir::IntVec& iter) {
-        auto find_at = [&](std::map<LoadKey, std::int32_t>& m2, int which) -> std::int32_t {
-          auto it = m2.find({e.stmt, e.j, which});
-          return it == m2.end() ? -1 : it->second;
-        };
+      auto emit_sync_stmt = [&](const Emission& e, const ir::Stmt& st,
+                                std::span<const ir::Int> iter) {
         auto lhs_addr = prog.ResolveAddr(st.lhs, iter);
         if (st.sync.kind == ir::SyncKind::kNdcAtomic) {
           if (e.phase == kLoad1) {
-            emit_operand_load(st, st.rhs1, e.j, 1, kIdx1);
+            emit_operand_load(st, e.stmt, st.rhs1, e.j, 1);
           } else if (e.phase == kComputeP && lhs_addr.has_value()) {
-            arch::Instr sy = arch::MakeSync(sync::SyncOp::kAtomicAdd, *lhs_addr,
-                                            ReductionPayload(iter), find_at(load_at, 1));
+            arch::Instr sy =
+                arch::MakeSync(sync::SyncOp::kAtomicAdd, *lhs_addr, ReductionPayload(iter),
+                               deps.at(e.stmt, e.j, DepTable::kOperand1));
             sy.pc = st.id * 16 + kComputeP;
             trace.push_back(sy);
           }
@@ -262,37 +373,38 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
         }
         switch (e.phase) {
           case kLoad0:  // data load, outside the critical section
-            emit_operand_load(st, st.rhs1, e.j, 1, kIdx0);
+            emit_operand_load(st, e.stmt, st.rhs1, e.j, 1);
             break;
           case kIdx1: {  // lock acquire on the accumulator cell
             if (!lhs_addr.has_value()) break;
-            load_at[{e.stmt, e.j, 3}] = static_cast<std::int32_t>(trace.size());
+            deps.at(e.stmt, e.j, DepTable::kAcquire) = static_cast<std::int32_t>(trace.size());
             arch::Instr sy = arch::MakeSync(sync::SyncOp::kLockAcquire, *lhs_addr);
             sy.pc = st.id * 16 + kIdx1;
             trace.push_back(sy);
             break;
           }
           case kLoad1: {  // accumulator load, gated on the acquire
-            emit_operand_load(st, st.rhs0, e.j, 0, kIdx1);
-            std::int32_t acq = find_at(load_at, 3);
-            std::int32_t ld = find_at(load_at, 0);
+            emit_operand_load(st, e.stmt, st.rhs0, e.j, 0);
+            std::int32_t acq = deps.at(e.stmt, e.j, DepTable::kAcquire);
+            std::int32_t ld = deps.at(e.stmt, e.j, DepTable::kOperand0);
             if (ld >= 0 && acq >= 0 && trace[static_cast<std::size_t>(ld)].dep0 < 0) {
               trace[static_cast<std::size_t>(ld)].dep0 = acq;
             }
             break;
           }
           case kComputeP: {
-            arch::Instr ci = arch::MakeCompute(st.op, find_at(load_at, 0), find_at(load_at, 1),
-                                               /*candidate=*/false, st.id * 16 + kComputeP,
-                                               st.id);
-            compute_at[{e.stmt, e.j, 0}] = static_cast<std::int32_t>(trace.size());
+            arch::Instr ci = arch::MakeCompute(
+                st.op, deps.at(e.stmt, e.j, DepTable::kOperand0),
+                deps.at(e.stmt, e.j, DepTable::kOperand1),
+                /*candidate=*/false, st.id * 16 + kComputeP, st.id);
+            deps.at(e.stmt, e.j, DepTable::kComputed) = static_cast<std::int32_t>(trace.size());
             trace.push_back(ci);
             break;
           }
           case kStoreP: {
             if (!lhs_addr.has_value()) break;
-            std::int32_t cmp = find_at(compute_at, 0);
-            arch::Instr si = arch::MakeStore(*lhs_addr, cmp);
+            arch::Instr si =
+                arch::MakeStore(*lhs_addr, deps.at(e.stmt, e.j, DepTable::kComputed));
             si.pc = st.id * 16 + kStoreP;
             std::int32_t st_idx = static_cast<std::int32_t>(trace.size());
             trace.push_back(si);
@@ -308,38 +420,39 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
       };
 
       for (const Emission& e : emissions) {
+        std::span<const ir::Int> iter = iter_at(e.j);
         if (e.stmt < 0) {
           // Wait pseudo-statement: consume the cross-core post of the
           // producing iteration one witness distance upstream. Same-core
           // producers are already ordered by the trace; they need no wait.
-          const ir::IntVec& iter = iters[static_cast<std::size_t>(e.j)];
-          ir::IntVec prod = iter;
-          prod[0] -= nest.sync.distance;
-          auto it = iter_pos.find(prod);
-          if (it == iter_pos.end() || it->second.first == core) continue;
+          std::int64_t prod = FindProducerRow(block, depth, iter, nest.sync.distance);
+          if (prod < 0) continue;
+          int prod_core = CoreForIteration(
+              nest, std::span<const ir::Int>(block).subspan(static_cast<std::size_t>(prod) * depth),
+              num_cores);
+          if (prod_core == core) continue;
           const ir::Array& sa = prog.array(nest.sync.sync_array);
-          sim::Addr paddr = sa.AddrOf({static_cast<ir::Int>(it->second.first)});
-          wait_at[e.j] = static_cast<std::int32_t>(trace.size());
-          trace.push_back(arch::MakeSync(sync::SyncOp::kWait, paddr, it->second.second + 1));
+          sim::Addr paddr = sa.AddrOf({static_cast<ir::Int>(prod_core)});
+          const auto prod_pos = static_cast<ir::Int>(static_cast<std::size_t>(prod) -
+                                                     f[static_cast<std::size_t>(prod_core)]);
+          deps.wait(e.j) = static_cast<std::int32_t>(trace.size());
+          trace.push_back(arch::MakeSync(sync::SyncOp::kWait, paddr, prod_pos + 1));
           continue;
         }
-        if (e.stmt >= static_cast<int>(nest.body.size())) {
+        if (e.stmt >= nstmts) {
           // Post pseudo-statement: announce this iteration complete in this
           // core's post slot, after the iteration's last instruction.
           const ir::Array& sa = prog.array(nest.sync.sync_array);
           sim::Addr paddr = sa.AddrOf({static_cast<ir::Int>(core)});
-          auto lit = last_at.find(e.j);
-          std::int32_t dep = lit == last_at.end() ? -1 : lit->second;
-          trace.push_back(arch::MakeSync(sync::SyncOp::kPost, paddr, 0, dep));
+          trace.push_back(arch::MakeSync(sync::SyncOp::kPost, paddr, 0, deps.last(e.j)));
           continue;
         }
         const ir::Stmt& st = nest.body[static_cast<std::size_t>(e.stmt)];
-        const ir::IntVec& iter = iters[static_cast<std::size_t>(e.j)];
         const std::size_t size_before = trace.size();
         if (st.sync.kind == ir::SyncKind::kNdcAtomic || st.sync.kind == ir::SyncKind::kHostLock) {
           emit_sync_stmt(e, st, iter);
           if (postwait && trace.size() > size_before) {
-            last_at[e.j] = static_cast<std::int32_t>(trace.size()) - 1;
+            deps.last(e.j) = static_cast<std::int32_t>(trace.size()) - 1;
           }
           continue;
         }
@@ -349,18 +462,16 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
           case kIdxStore:
             break;  // folded into the load/store emission below
           case kLoad0:
-            emit_operand_load(st, st.rhs0, e.j, 0, kIdx0);
+            emit_operand_load(st, e.stmt, st.rhs0, e.j, 0);
             break;
           case kLoad1:
-            emit_operand_load(st, st.rhs1, e.j, 1, kIdx1);
+            emit_operand_load(st, e.stmt, st.rhs1, e.j, 1);
             break;
           case kComputeP: {
-            auto find_load = [&](int which) -> std::int32_t {
-              auto it = load_at.find({e.stmt, e.j, which});
-              return it == load_at.end() ? -1 : it->second;
-            };
-            std::int32_t l0 = st.rhs0.IsMemory() ? find_load(0) : -1;
-            std::int32_t l1 = st.rhs1.IsMemory() ? find_load(1) : -1;
+            std::int32_t l0 =
+                st.rhs0.IsMemory() ? deps.at(e.stmt, e.j, DepTable::kOperand0) : -1;
+            std::int32_t l1 =
+                st.rhs1.IsMemory() ? deps.at(e.stmt, e.j, DepTable::kOperand1) : -1;
             arch::Instr ci;
             bool both_mem = l0 >= 0 && l1 >= 0;
             bool offload_here = st.ndc.offload && both_mem;
@@ -376,26 +487,24 @@ CodegenResult Lower(const ir::Program& prog, int num_cores, const arch::ArchConf
             } else {
               ci = arch::MakeCompute(st.op, l0, l1, both_mem, st.id * 16 + kComputeP, st.id);
             }
-            compute_at[{e.stmt, e.j, 0}] = static_cast<std::int32_t>(trace.size());
+            deps.at(e.stmt, e.j, DepTable::kComputed) = static_cast<std::int32_t>(trace.size());
             trace.push_back(ci);
             break;
           }
           case kStoreP: {
             auto addr = prog.ResolveAddr(st.lhs, iter);
             if (!addr.has_value()) break;
-            auto it = compute_at.find({e.stmt, e.j, 0});
-            std::int32_t dep = it == compute_at.end() ? -1 : it->second;
-            arch::Instr si = arch::MakeStore(*addr, dep);
+            arch::Instr si = arch::MakeStore(*addr, deps.at(e.stmt, e.j, DepTable::kComputed));
             si.pc = st.id * 16 + kStoreP;
             trace.push_back(si);
             break;
           }
         }
         if (postwait && trace.size() > size_before) {
-          last_at[e.j] = static_cast<std::int32_t>(trace.size()) - 1;
+          deps.last(e.j) = static_cast<std::int32_t>(trace.size()) - 1;
         }
       }
-      if (nest.sync.barrier_after && nest.sync.sync_array >= 0 && participants > 0) {
+      if (BarrierAfter(nest) && participants > 0) {
         // Join the nest: every active core arrives at the barrier cell (the
         // sync array's last element) after its final instruction.
         const ir::Array& sa = prog.array(nest.sync.sync_array);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -18,7 +19,7 @@ struct CodegenResult {
 /// Which core executes iteration `iter` of `nest`: the outermost loop is
 /// block-distributed over `num_cores` cores (the parallelization step of
 /// Figure 7 runs before the NDC algorithms and is preserved by them).
-int CoreForIteration(const ir::LoopNest& nest, const ir::IntVec& iter, int num_cores);
+int CoreForIteration(const ir::LoopNest& nest, std::span<const ir::Int> iter, int num_cores);
 
 /// Lowers a (possibly NDC-annotated and schedule-transformed) program to
 /// per-core traces:

@@ -5,7 +5,7 @@
 
 namespace ndc::ir {
 
-sim::Addr Array::AddrOf(const IntVec& subscript) const {
+sim::Addr Array::AddrOf(std::span<const Int> subscript) const {
   assert(subscript.size() == dims.size());
   Int idx = 0;
   for (std::size_t d = 0; d < dims.size(); ++d) {
@@ -29,21 +29,17 @@ Int LoopNest::HiEffective(int level, const IntVec& iter) const {
   return hi;
 }
 
-void LoopNest::ForEachIteration(const std::function<void(const IntVec&)>& fn) const {
-  IntVec iter(static_cast<std::size_t>(depth()), 0);
-  std::function<void(int)> rec = [&](int level) {
-    if (level == depth()) {
-      fn(iter);
-      return;
-    }
-    Int lo = LoEffective(level, iter);
-    Int hi = HiEffective(level, iter);
-    for (Int v = lo; v <= hi; ++v) {
-      iter[static_cast<std::size_t>(level)] = v;
-      rec(level + 1);
-    }
+bool LoopNest::ContainsBackStep(std::span<const Int> iter, std::span<const Int> back) const {
+  auto at = [&](int k) {
+    return iter[static_cast<std::size_t>(k)] - back[static_cast<std::size_t>(k)];
   };
-  rec(0);
+  for (int d = 0; d < depth(); ++d) {
+    const Loop& l = loops[static_cast<std::size_t>(d)];
+    Int lo = l.lo_dep >= 0 ? l.lo + l.lo_coef * at(l.lo_dep) : l.lo;
+    Int hi = l.hi_dep >= 0 ? l.hi + l.hi_coef * at(l.hi_dep) : l.hi;
+    if (at(d) < lo || at(d) > hi) return false;
+  }
+  return true;
 }
 
 Int LoopNest::NumIterations() const {
@@ -71,21 +67,38 @@ int Program::AddArray(const std::string& aname, std::vector<Int> dims, int elem_
 
 std::uint32_t Program::NextStmtId() { return next_stmt_id_++; }
 
-std::optional<sim::Addr> Program::ResolveAddr(const Operand& op, const IntVec& iter) const {
-  if (!op.IsMemory()) return std::nullopt;
-  const Array& idx_arr = array(op.access.array);
-  IntVec sub = op.access.Subscript(iter);
-  for (std::size_t d = 0; d < sub.size(); ++d) {
-    if (sub[d] < 0 || sub[d] >= idx_arr.dims[d]) return std::nullopt;
+std::optional<Int> Program::ElementIndex(const AffineAccess& access,
+                                         std::span<const Int> iter) const {
+  const Array& arr = array(access.array);
+  Int flat = 0;
+  for (int d = 0; d < access.F.rows(); ++d) {
+    Int sub = 0;
+    for (int k = 0; k < access.F.cols(); ++k) {
+      sub += access.F.at(d, k) * iter[static_cast<std::size_t>(k)];
+    }
+    sub += access.f[static_cast<std::size_t>(d)];
+    const Int extent = arr.dims[static_cast<std::size_t>(d)];
+    if (sub < 0 || sub >= extent) return std::nullopt;
+    flat = flat * extent + sub;
   }
-  if (op.kind == Operand::Kind::kAffine) return idx_arr.AddrOf(sub);
+  return flat;
+}
+
+std::optional<sim::Addr> Program::ResolveAddr(const Operand& op,
+                                              std::span<const Int> iter) const {
+  if (!op.IsMemory()) return std::nullopt;
+  std::optional<Int> flat = ElementIndex(op.access, iter);
+  if (!flat.has_value()) return std::nullopt;
+  const Array& idx_arr = array(op.access.array);
+  if (op.kind == Operand::Kind::kAffine) {
+    return idx_arr.base +
+           static_cast<sim::Addr>(*flat) * static_cast<sim::Addr>(idx_arr.elem_bytes);
+  }
   // Indirect: read the index value, then address the target array (1-D).
   auto it = index_data.find(op.access.array);
   if (it == index_data.end()) return std::nullopt;
-  Int flat = 0;
-  for (std::size_t d = 0; d < sub.size(); ++d) flat = flat * idx_arr.dims[d] + sub[d];
-  if (flat < 0 || flat >= static_cast<Int>(it->second.size())) return std::nullopt;
-  Int target_idx = it->second[static_cast<std::size_t>(flat)];
+  if (*flat >= static_cast<Int>(it->second.size())) return std::nullopt;
+  Int target_idx = it->second[static_cast<std::size_t>(*flat)];
   const Array& tgt = array(op.target_array);
   if (target_idx < 0 || target_idx >= tgt.NumElems()) return std::nullopt;
   return tgt.base +

@@ -146,8 +146,10 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
     }
     cand_uid_[static_cast<std::size_t>(c)].assign(cands.size(), 0);
     total_cands += cands.size();
-    future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
-    future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
+    if (opts_.observe) {  // only FinalizeRecords reads these
+      future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
+      future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
+    }
     cores_[static_cast<std::size_t>(c)]->SetTrace(std::move(traces[static_cast<std::size_t>(c)]));
   }
   // Exact bound (one instance per candidate); see the note on instances_.

@@ -273,6 +273,7 @@ class Machine final : public arch::MemoryPort {
   // Trace preprocessing: per core, map load slot -> (candidate, operand).
   std::vector<std::vector<std::int32_t>> load_to_cand_;  // cand*2 + operand, -1 none
   std::vector<std::vector<CandInfo>> cands_;
+  // Observe runs only (FinalizeRecords reads them); empty otherwise.
   std::vector<std::vector<bool>> future_reuse_;     // per core/slot, L1-line grain
   std::vector<std::vector<bool>> future_reuse_l2_;  // per core/slot, L2-line grain
 

@@ -281,6 +281,29 @@ TEST(Machine, OraclePolicySkipsWhenOperandReused) {
   EXPECT_EQ(r.offloads, 0u);  // oracle favors data locality over NDC
 }
 
+TEST(Machine, ObserveRecordsFutureReuseAtBothLineGrains) {
+  ArchConfig cfg;
+  Trace t;
+  t.push_back(MakeLoad(kAddrA));                   // 0
+  t.push_back(MakeLoad(kAddrB));                   // 1
+  t.push_back(MakeCompute(Op::kAdd, 0, 1, true));  // 2 candidate
+  t.push_back(MakeLoad(kAddrA + 64, 2));           // 3 next L1 line, same L2 line
+
+  MachineOptions obs_opts;
+  obs_opts.observe = true;
+  Machine obs(cfg, obs_opts);
+  obs.LoadProgram(Program(6, Trace(t)));
+  RunResult prof = obs.Run();
+  const InstanceRecord* rec = prof.records->Find(6, 2);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_FALSE(rec->operand_reused_later);
+  EXPECT_TRUE(rec->operand_reused_later_l2);
+
+  Machine plain(cfg);
+  plain.LoadProgram(Program(6, Trace(t)));
+  EXPECT_EQ(plain.Run().records, nullptr);
+}
+
 TEST(Machine, DeterministicAcrossRuns) {
   ArchConfig cfg;
   AlwaysWaitPolicy p1(cfg), p2(cfg);
