@@ -229,12 +229,6 @@ bool IsZero(const IntVec& v) {
   return std::all_of(v.begin(), v.end(), [](Int x) { return x == 0; });
 }
 
-IntVec VecAdd(const IntVec& a, const IntVec& b) {
-  IntVec r(a);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] += b[i];
-  return r;
-}
-
 IntVec VecSub(const IntVec& a, const IntVec& b) {
   IntVec r(a);
   for (std::size_t i = 0; i < r.size(); ++i) r[i] -= b[i];

@@ -64,7 +64,6 @@ int LexCompare(const IntVec& a, const IntVec& b);
 bool LexPositive(const IntVec& v);  ///< first nonzero entry > 0
 bool IsZero(const IntVec& v);
 
-IntVec VecAdd(const IntVec& a, const IntVec& b);
 IntVec VecSub(const IntVec& a, const IntVec& b);
 
 }  // namespace ndc::ir
