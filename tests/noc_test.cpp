@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "noc/geometry.hpp"
@@ -167,6 +168,45 @@ INSTANTIATE_TEST_SUITE_P(
                       OverlapCase{3, 3, 0, 0, 4, 4, 1, 1},   // both decreasing
                       OverlapCase{0, 4, 4, 0, 0, 3, 4, 1},   // anti-diagonal
                       OverlapCase{2, 2, 2, 2, 1, 1, 3, 3})); // degenerate single node
+
+// FNV-1a over the (a, b) routes MaxOverlapRoutes picks for every
+// (a_src, a_dst, b_src, b_dst) on a w x h mesh. Where several pairs share
+// the most links, the pick depends on the candidate order and on the
+// strict-greater tie-break, so the digest pins both.
+std::uint64_t OverlapChoiceDigest(int w, int h) {
+  Mesh m(w, h);
+  std::uint64_t d = 1469598103934665603ull;
+  auto mix = [&d](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      d ^= (v >> (8 * b)) & 0xff;
+      d *= 1099511628211ull;
+    }
+  };
+  const int n = m.num_nodes();
+  for (sim::NodeId as = 0; as < n; ++as) {
+    for (sim::NodeId ad = 0; ad < n; ++ad) {
+      for (sim::NodeId bs = 0; bs < n; ++bs) {
+        for (sim::NodeId bd = 0; bd < n; ++bd) {
+          RoutePair p = MaxOverlapRoutes(m, as, ad, bs, bd);
+          mix(p.a.size());
+          for (sim::LinkId l : p.a) mix(static_cast<std::uint64_t>(l));
+          mix(p.b.size());
+          for (sim::LinkId l : p.b) mix(static_cast<std::uint64_t>(l));
+          mix(static_cast<std::uint64_t>(p.shared_links));
+        }
+      }
+    }
+  }
+  return d;
+}
+
+// Captured from the staircase search before its candidates moved into
+// reused buffers; never re-capture these to make a change pass: a changed
+// digest means a different pair is chosen somewhere.
+TEST(MaxOverlap, ChoicesMatchPinnedDigests) {
+  EXPECT_EQ(OverlapChoiceDigest(4, 4), 0xe675d820c1dedc03ull);
+  EXPECT_EQ(OverlapChoiceDigest(5, 5), 0x4feac733d3b1d123ull);
+}
 
 TEST(Network, UncontendedLatencyMatchesFormula) {
   sim::EventQueue eq;
