@@ -123,12 +123,12 @@ int main(int argc, char** argv) {
       ndc::obs::Observability ob(oo);
 
       ndc::ir::Program prog = ndc::workloads::BuildShardedWorkload(w, args.scale, k);
-      std::vector<ndc::arch::Trace> traces =
+      const std::vector<ndc::arch::Trace> traces =
           ndc::compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
       ndc::runtime::MachineOptions mo;
       mo.obs = &ob;
       ndc::runtime::Machine m(cfg, mo);
-      m.LoadProgram(std::move(traces));
+      m.LoadProgram(traces);
       ndc::runtime::RunResult r = m.Run();
 
       ndc::obs::UtilizationSignals sig =

@@ -140,10 +140,10 @@ int main(int argc, char** argv) {
         continue;
       }
       ndc::ir::Program prog = ndc::workloads::BuildShardedWorkload(w, args.scale, k);
-      std::vector<ndc::arch::Trace> traces =
+      const std::vector<ndc::arch::Trace> traces =
           ndc::compiler::Lower(prog, cfg.num_nodes(), &cfg).traces;
       ndc::runtime::Machine m(cfg);
-      m.LoadProgram(std::move(traces));
+      m.LoadProgram(traces);
       ndc::runtime::RunResult r = m.Run();
 
       ConservationReport rep = CheckConservation(m.GatherConservation());

@@ -52,8 +52,9 @@ ir::Program MakeStreamAdd(ir::Int n) {
 }
 
 runtime::RunResult RunProgram(const ir::Program& prog, const arch::ArchConfig& cfg) {
+  const std::vector<arch::Trace> traces = compiler::Lower(prog, cfg.num_nodes()).traces;
   runtime::Machine machine(cfg, {});
-  machine.LoadProgram(compiler::Lower(prog, cfg.num_nodes()).traces);
+  machine.LoadProgram(traces);
   return machine.Run();
 }
 

@@ -1,36 +1,50 @@
 #!/usr/bin/env python3
 """Enforce the substrate performance floors from a BENCH_substrate.json.
 
-Three gates, all measured on the same machine in the same process so they
+Four gates, all measured on the same machine in the same process so they
 are robust to runner speed:
   - the calendar queue must beat the seed binary-heap queue by at least
     --min-speedup on the hot small-delay scheduling path;
-  - the hot path must be allocation-free in steady state: the calendar_chain
-    bench may average at most --max-allocs-per-event heap allocations;
+  - scheduling and packet flights must be allocation-free in steady state:
+    each of the calendar_chain, calendar_wide_chain, calendar_mixed_horizon
+    and noc_stream benches may average at most --max-allocs-per-event heap
+    allocations;
+  - a whole-machine run must do no heap work per simulated event:
+    machine_allocs_per_event (the worst `machine:*` row) may be at most
+    --max-machine-allocs-per-event;
   - lowering must do no heap work per iteration: lower_allocs_per_instr (the
     worst `lower:*` row's allocations per emitted instruction) may be at most
     --max-lower-allocs-per-instr.
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
+           [--max-machine-allocs-per-event=0.01]
            [--max-lower-allocs-per-instr=0.05]
-Exit: 0 within floors, 1 floor violated, 2 usage/parse errors.
+Exit: 0 within floors, 1 floor violated, 2 usage/parse errors (a report
+that lacks a gated row or key is a usage error).
 """
 
 import json
 import sys
+
+# Rows held to --max-allocs-per-event.
+ALLOC_FREE_ROWS = ("calendar_chain", "calendar_wide_chain", "calendar_mixed_horizon",
+                   "noc_stream")
 
 
 def main(argv):
     path = None
     min_speedup = 2.0
     max_allocs = 0.01
+    max_machine_allocs = 0.01
     max_lower_allocs = 0.05
     for arg in argv[1:]:
         if arg.startswith("--min-speedup="):
             min_speedup = float(arg.split("=", 1)[1])
         elif arg.startswith("--max-allocs-per-event="):
             max_allocs = float(arg.split("=", 1)[1])
+        elif arg.startswith("--max-machine-allocs-per-event="):
+            max_machine_allocs = float(arg.split("=", 1)[1])
         elif arg.startswith("--max-lower-allocs-per-instr="):
             max_lower_allocs = float(arg.split("=", 1)[1])
         elif arg.startswith("--"):
@@ -50,9 +64,14 @@ def main(argv):
         return 2
 
     benches = {b["name"]: b for b in report.get("benches", [])}
-    if "calendar_chain" not in benches or "legacy_chain" not in benches:
-        print("check_substrate_perf: report lacks calendar_chain/legacy_chain",
-              file=sys.stderr)
+    missing = [n for n in ("legacy_chain",) + ALLOC_FREE_ROWS if n not in benches]
+    if missing:
+        print(f"check_substrate_perf: report lacks {', '.join(missing)}", file=sys.stderr)
+        return 2
+    if ("machine_allocs_per_event" not in report or
+            not any(n.startswith("machine:") for n in benches)):
+        print("check_substrate_perf: report lacks machine_allocs_per_event or "
+              "machine:* rows", file=sys.stderr)
         return 2
     if "lower_allocs_per_instr" not in report:
         print("check_substrate_perf: report lacks lower_allocs_per_instr",
@@ -60,7 +79,7 @@ def main(argv):
         return 2
 
     speedup = report.get("speedup_vs_legacy", 0.0)
-    allocs = benches["calendar_chain"]["allocs_per_event"]
+    machine_allocs = report["machine_allocs_per_event"]
     lower_allocs = report["lower_allocs_per_instr"]
 
     ok = True
@@ -70,13 +89,22 @@ def main(argv):
         ok = False
     else:
         print(f"ok   speedup_vs_legacy = {speedup:.2f}x (floor {min_speedup:.2f}x)")
-    if allocs > max_allocs:
-        print(f"FAIL calendar_chain allocs/event = {allocs:.6f} > "
-              f"ceiling {max_allocs}", file=sys.stderr)
+    for name in ALLOC_FREE_ROWS:
+        allocs = benches[name]["allocs_per_event"]
+        if allocs > max_allocs:
+            print(f"FAIL {name} allocs/event = {allocs:.6f} > "
+                  f"ceiling {max_allocs}", file=sys.stderr)
+            ok = False
+        else:
+            print(f"ok   {name} allocs/event = {allocs:.6f} "
+                  f"(ceiling {max_allocs})")
+    if machine_allocs > max_machine_allocs:
+        print(f"FAIL machine allocs/event = {machine_allocs:.6f} > "
+              f"ceiling {max_machine_allocs}", file=sys.stderr)
         ok = False
     else:
-        print(f"ok   calendar_chain allocs/event = {allocs:.6f} "
-              f"(ceiling {max_allocs})")
+        print(f"ok   machine allocs/event = {machine_allocs:.6f} "
+              f"(ceiling {max_machine_allocs})")
     if lower_allocs > max_lower_allocs:
         print(f"FAIL lower allocs/instr = {lower_allocs:.6f} > "
               f"ceiling {max_lower_allocs}", file=sys.stderr)

@@ -8,13 +8,14 @@ namespace ndc::arch {
 Core::Core(sim::NodeId id, const ArchConfig& cfg, sim::EventQueue& eq, MemoryPort& port)
     : id_(id), cfg_(&cfg), eq_(&eq), port_(port) {}
 
-void Core::SetTrace(Trace trace) {
-  trace_ = std::move(trace);
+void Core::SetTrace(std::span<const Instr> trace) {
+  trace_ = trace;
   done_.assign(trace_.size(), sim::kNeverCycle);
   external_.assign(trace_.size(), false);
   complete_flag_.assign(trace_.size(), false);
-  dispatched_.assign(trace_.size(), false);
-  dependents_.assign(trace_.size(), {});
+  wait_head_.assign(trace_.size(), kNoWaiter);
+  wait_tail_.assign(trace_.size(), kNoWaiter);
+  wait_next_.assign(2 * trace_.size(), kNoWaiter);
   next_ = 0;
   completed_ = 0;
   outstanding_loads_ = 0;
@@ -57,10 +58,16 @@ void Core::Complete(std::uint32_t idx, sim::Cycle when) {
   }
   if (trace_[idx].kind == Instr::Kind::kLoad) --outstanding_loads_;
   finish_cycle_ = std::max(finish_cycle_, when);
-  // Wake dependents that were dispatched while waiting on this slot.
-  std::vector<std::uint32_t> waiters = std::move(dependents_[idx]);
-  dependents_[idx].clear();
-  for (std::uint32_t w : waiters) ResolveWaiter(w);
+  // Wake dependents that were dispatched while waiting on this slot. The
+  // list is detached first; a node sits in one list only and is linked once,
+  // so the wakes below (which complete other slots) never touch it.
+  std::uint32_t node = wait_head_[idx];
+  wait_head_[idx] = wait_tail_[idx] = kNoWaiter;
+  while (node != kNoWaiter) {
+    std::uint32_t next = wait_next_[node];
+    ResolveWaiter(node / 2);
+    node = next;
+  }
   if (when > eq_->now()) {
     eq_->ScheduleAt(when, [this] { TryDispatch(); });
   } else {
@@ -78,6 +85,21 @@ bool Core::DepsDone(const Instr& in, sim::Cycle* ready_at) const {
   }
   *ready_at = ready;
   return true;
+}
+
+void Core::WaitOnPendingDeps(std::uint32_t idx, const Instr& in) {
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    std::int32_t dep = k == 0 ? in.dep0 : in.dep1;
+    if (dep < 0 || done_[static_cast<std::size_t>(dep)] != sim::kNeverCycle) continue;
+    auto d = static_cast<std::size_t>(dep);
+    std::uint32_t node = idx * 2 + k;
+    if (wait_tail_[d] == kNoWaiter) {
+      wait_head_[d] = node;
+    } else {
+      wait_next_[wait_tail_[d]] = node;
+    }
+    wait_tail_[d] = node;
+  }
 }
 
 void Core::ResolveWaiter(std::uint32_t idx) {
@@ -145,7 +167,6 @@ void Core::TryDispatch() {
 
 void Core::DispatchSlot(std::uint32_t idx) {
   const Instr& in = trace_[idx];
-  dispatched_[idx] = true;
   if (stall_tracking_ && idx < dispatch_cycle_.size()) dispatch_cycle_[idx] = eq_->now();
   issued_ctr_.Add();
   sim::Cycle ready;
@@ -161,11 +182,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
         port_.IssueStore(id_, idx, in.addr);
         Complete(idx, ready + 1);
       } else {
-        for (std::int32_t dep : {in.dep0, in.dep1}) {
-          if (dep >= 0 && done_[static_cast<std::size_t>(dep)] == sim::kNeverCycle) {
-            dependents_[static_cast<std::size_t>(dep)].push_back(idx);
-          }
-        }
+        WaitOnPendingDeps(idx, in);
       }
       break;
     case Instr::Kind::kCompute:
@@ -174,11 +191,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
       if (DepsDone(in, &ready)) {
         Complete(idx, ready + cfg_->compute_latency);
       } else {
-        for (std::int32_t dep : {in.dep0, in.dep1}) {
-          if (dep >= 0 && done_[static_cast<std::size_t>(dep)] == sim::kNeverCycle) {
-            dependents_[static_cast<std::size_t>(dep)].push_back(idx);
-          }
-        }
+        WaitOnPendingDeps(idx, in);
       }
       break;
     case Instr::Kind::kPreCompute:
@@ -193,11 +206,7 @@ void Core::DispatchSlot(std::uint32_t idx) {
       if (DepsDone(in, &ready)) {
         port_.IssueSync(id_, idx, in);
       } else {
-        for (std::int32_t dep : {in.dep0, in.dep1}) {
-          if (dep >= 0 && done_[static_cast<std::size_t>(dep)] == sim::kNeverCycle) {
-            dependents_[static_cast<std::size_t>(dep)].push_back(idx);
-          }
-        }
+        WaitOnPendingDeps(idx, in);
       }
       break;
   }

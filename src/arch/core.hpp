@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -25,10 +27,11 @@ class Core {
 
   sim::NodeId id() const { return id_; }
 
-  /// Installs the trace and resets execution state.
-  void SetTrace(Trace trace);
+  /// Installs the trace and resets execution state. The core borrows the
+  /// instructions: they must outlive every use of this core.
+  void SetTrace(std::span<const Instr> trace);
 
-  const Trace& trace() const { return trace_; }
+  std::span<const Instr> trace() const { return trace_; }
 
   /// Begins execution (schedules the first dispatch event).
   void Start();
@@ -77,6 +80,9 @@ class Core {
   /// Dispatch-time handling once the slot's turn comes.
   void DispatchSlot(std::uint32_t idx);
   bool DepsDone(const Instr& in, sim::Cycle* ready_at) const;
+  /// Queues slot `idx` behind each of its deps that has not completed yet
+  /// (twice behind one slot when dep0 == dep1, as it waits on both deps).
+  void WaitOnPendingDeps(std::uint32_t idx, const Instr& in);
   void ScheduleRetry(sim::Cycle at);
 
   sim::NodeId id_;
@@ -84,12 +90,18 @@ class Core {
   sim::EventQueue* eq_;
   MemoryPort& port_;
 
-  Trace trace_;
+  static constexpr std::uint32_t kNoWaiter = std::numeric_limits<std::uint32_t>::max();
+
+  std::span<const Instr> trace_;
   std::vector<sim::Cycle> done_;
   std::vector<bool> external_;
   std::vector<bool> complete_flag_;
-  std::vector<bool> dispatched_;
-  std::vector<std::vector<std::uint32_t>> dependents_;  // dep idx -> waiters
+  // Dispatched slots waiting on an incomplete dep, one FIFO list per awaited
+  // slot, threaded through two nodes per waiter: node w * 2 + k is slot w
+  // waiting on its dep k. Completion wakes a slot's list in dispatch order.
+  std::vector<std::uint32_t> wait_head_;  ///< per awaited slot
+  std::vector<std::uint32_t> wait_tail_;  ///< per awaited slot
+  std::vector<std::uint32_t> wait_next_;  ///< per node
   std::uint32_t next_ = 0;  // next trace slot to dispatch (in order)
   std::size_t completed_ = 0;
   int outstanding_loads_ = 0;

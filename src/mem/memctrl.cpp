@@ -11,9 +11,8 @@ MemCtrl::MemCtrl(sim::McId id, const AddressMap& amap, const DramParams& dram_pa
     : id_(id), amap_(&amap), eq_(&eq) {
   banks_.reserve(static_cast<std::size_t>(amap.banks_per_mc));
   for (int i = 0; i < amap.banks_per_mc; ++i) banks_.emplace_back(dram_params);
-  bank_in_flight_.assign(banks_.size(), false);
   bank_queues_.resize(banks_.size());
-  in_service_.resize(banks_.size());
+  in_service_.assign(banks_.size(), kNil);
   bank_wake_until_.assign(banks_.size(), 0);
 }
 
@@ -26,68 +25,82 @@ void MemCtrl::RegisterMetrics(obs::Registry& reg) {
   m_queue_wait_total_ = reg.counter(prefix + "queue_wait_total");
 }
 
-void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
-                          std::uint64_t obs_token) {
-  assert(tag != kWriteSentinelTag && "kWriteSentinelTag is reserved for writes");
-  Request r;
+bool MemCtrl::HasPendingAddr(sim::Addr addr) const {
+  return std::any_of(pool_.begin(), pool_.end(), [addr](const Request& r) {
+    return r.live && !r.is_write && r.addr == addr;
+  });
+}
+
+std::uint32_t MemCtrl::Acquire(std::uint64_t tag, sim::Addr addr, bool is_write) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Request& r = pool_[slot];
   r.tag = tag;
   r.addr = addr;
   r.bank = amap_->DramBank(addr);
   r.row = amap_->DramRow(addr);
-  r.is_write = false;
+  r.is_write = is_write;
+  r.live = true;
+  r.next = kNil;
   r.enqueued_at = eq_->now();
-  r.done = std::move(done);
-  r.obs_token = obs_token;
+  r.obs_token = 0;
+  return slot;
+}
+
+void MemCtrl::EnqueueRead(std::uint64_t tag, sim::Addr addr, DoneFn done,
+                          std::uint64_t obs_token) {
+  assert(tag != kWriteSentinelTag && "kWriteSentinelTag is reserved for writes");
+  std::uint32_t slot = Acquire(tag, addr, /*is_write=*/false);
+  pool_[slot].done = std::move(done);
+  pool_[slot].obs_token = obs_token;
   reads_.Add();
   if constexpr (obs::kObsEnabled) {
     if (m_reads_ != nullptr) m_reads_->Add();
   }
-  ++pending_read_addrs_[addr];
   if (on_enqueue_) on_enqueue_(tag, addr, eq_->now());
-  Admit(std::move(r));
+  Admit(slot);
 }
 
 void MemCtrl::EnqueueWrite(sim::Addr addr) {
-  Request r;
-  r.tag = kWriteSentinelTag;
-  r.addr = addr;
-  r.bank = amap_->DramBank(addr);
-  r.row = amap_->DramRow(addr);
-  r.is_write = true;
-  r.enqueued_at = eq_->now();
+  std::uint32_t slot = Acquire(kWriteSentinelTag, addr, /*is_write=*/true);
   writes_.Add();
   if (on_enqueue_) on_enqueue_(kWriteSentinelTag, addr, eq_->now());
-  Admit(std::move(r));
+  Admit(slot);
 }
 
-void MemCtrl::Admit(Request r) {
+void MemCtrl::Admit(std::uint32_t slot) {
   // Queue-pressure faults delay the request's entry into the transaction
-  // queue; the request is already visible upstream (pending-read index and
-  // enqueue hooks fired at arrival), so NDC meeting checks are unaffected.
+  // queue; the request is already visible upstream (HasPendingAddr and the
+  // enqueue hook saw it arrive), so NDC meeting checks are unaffected.
   if (pressure_) {
     sim::Cycle extra = pressure_(eq_->now());
     if (extra > 0) {
       pressure_events_.Add();
       pressure_delay_cycles_.Add(extra);
-      eq_->ScheduleAfter(extra, [this, r = std::move(r)]() mutable {
-        Enqueue(std::move(r));
-      });
+      eq_->ScheduleAfter(extra, [this, slot] { Enqueue(slot); });
       return;
     }
   }
-  Enqueue(std::move(r));
+  Enqueue(slot);
 }
 
-void MemCtrl::Enqueue(Request r) {
-  bank_queues_[static_cast<std::size_t>(r.bank)].push_back(std::move(r));
+void MemCtrl::Enqueue(std::uint32_t slot) {
+  BankQueue& q = bank_queues_[static_cast<std::size_t>(pool_[slot].bank)];
+  pool_[slot].next = kNil;
+  if (q.tail == kNil) {
+    q.head = slot;
+  } else {
+    pool_[q.tail].next = slot;
+  }
+  q.tail = slot;
   ++queued_;
   TrySchedule();
-}
-
-void MemCtrl::DropPendingRead(sim::Addr addr) {
-  auto it = pending_read_addrs_.find(addr);
-  assert(it != pending_read_addrs_.end());
-  if (--it->second == 0) pending_read_addrs_.erase(it);
 }
 
 void MemCtrl::TrySchedule() {
@@ -95,9 +108,9 @@ void MemCtrl::TrySchedule() {
   // bank, else the oldest request for that bank. One pass suffices: issuing
   // never frees a bank, so a second pass could not make more progress.
   for (std::size_t b = 0; b < banks_.size(); ++b) {
-    if (bank_in_flight_[b]) continue;
-    std::deque<Request>& q = bank_queues_[b];
-    if (q.empty()) continue;
+    if (in_service_[b] != kNil) continue;
+    BankQueue& q = bank_queues_[b];
+    if (q.head == kNil) continue;
     BankFault::Effect effect = BankFault::Effect::kNone;
     sim::Cycle nack_backoff = 0;
     if (bank_fault_) {
@@ -115,37 +128,43 @@ void MemCtrl::TrySchedule() {
       }
       nack_backoff = fault.nack_backoff;
     }
-    std::size_t pick = 0;  // oldest overall is the fallback
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      if (banks_[b].IsRowOpen(q[i].row)) {
-        pick = i;  // first (oldest) row hit wins
+    // The oldest overall is the fallback; the first (oldest) row hit wins.
+    std::uint32_t pick = q.head, prev = kNil;
+    for (std::uint32_t i = q.head, before = kNil; i != kNil; before = i, i = pool_[i].next) {
+      if (banks_[b].IsRowOpen(pool_[i].row)) {
+        pick = i;
+        prev = before;
         break;
       }
     }
-    Request req = std::move(q[pick]);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (prev == kNil) {
+      q.head = pool_[pick].next;
+    } else {
+      pool_[prev].next = pool_[pick].next;
+    }
+    if (q.tail == pick) q.tail = prev;
     --queued_;
     if (effect == BankFault::Effect::kNack) {
       // The bank rejects the command; the request re-enters the queue after
       // the backoff with its original arrival time (its queue wait includes
-      // the NACK detour) and without re-firing hooks or the pending-read
-      // index, which both already saw it arrive. Nothing is lost: every
-      // NACK schedules exactly one retry.
+      // the NACK detour) and without re-firing hooks, which already saw it
+      // arrive. Nothing is lost: every NACK schedules exactly one retry.
       assert(nack_backoff > 0 && "a NACKed request needs a positive backoff");
       nacks_.Add();
-      eq_->ScheduleAfter(nack_backoff, [this, req = std::move(req)]() mutable {
+      eq_->ScheduleAfter(nack_backoff, [this, pick] {
         nack_retries_.Add();
-        Enqueue(std::move(req));
+        Enqueue(pick);
       });
       continue;
     }
-    IssueTo(static_cast<int>(b), std::move(req));
+    IssueTo(static_cast<int>(b), pick);
   }
 }
 
-void MemCtrl::IssueTo(int bank_idx, Request req) {
+void MemCtrl::IssueTo(int bank_idx, std::uint32_t slot) {
   auto b = static_cast<std::size_t>(bank_idx);
-  bank_in_flight_[b] = true;
+  const Request& req = pool_[slot];
+  in_service_[b] = slot;
   bool row_hit = banks_[b].IsRowOpen(req.row);
   (row_hit ? row_hits_ : row_misses_).Add();
   sim::Cycle done_at = banks_[b].Access(eq_->now(), req.row);
@@ -165,29 +184,36 @@ void MemCtrl::IssueTo(int bank_idx, Request req) {
       tracer_->NoteRowHit(req.obs_token, row_hit);
     }
   }
-  in_service_[b] = std::move(req);
   eq_->ScheduleAt(done_at, [this, bank_idx] { Complete(bank_idx); });
 }
 
 void MemCtrl::Complete(int bank_idx) {
   auto b = static_cast<std::size_t>(bank_idx);
-  // Move the request out and free the bank first: the done callback may
-  // re-enter EnqueueRead and issue straight to this bank's slot.
-  Request req = std::move(in_service_[b]);
-  bank_in_flight_[b] = false;
-  if (!req.is_write) {
-    DropPendingRead(req.addr);
-    assert(req.tag != kWriteSentinelTag && "read completed with the write sentinel tag");
+  // Free the bank and the slot before any callback runs: the done callback
+  // may re-enter EnqueueRead, which may reuse the slot, grow the pool and
+  // issue straight to this bank.
+  std::uint32_t slot = in_service_[b];
+  in_service_[b] = kNil;
+  Request& r = pool_[slot];
+  const std::uint64_t tag = r.tag;
+  const sim::Addr addr = r.addr;
+  const bool is_write = r.is_write;
+  const std::uint64_t obs_token = r.obs_token;
+  DoneFn done = std::move(r.done);
+  r.live = false;
+  free_slots_.push_back(slot);
+  if (!is_write) {
+    assert(tag != kWriteSentinelTag && "read completed with the write sentinel tag");
     if constexpr (obs::kObsEnabled) {
-      if (tracer_ != nullptr && req.obs_token != 0) {
-        tracer_->Stamp(req.obs_token, obs::Stage::kDramReady, eq_->now());
+      if (tracer_ != nullptr && obs_token != 0) {
+        tracer_->Stamp(obs_token, obs::Stage::kDramReady, eq_->now());
       }
     }
     ++reads_done_;
-    if (on_ready_) on_ready_(req.tag, req.addr, eq_->now());
-    if (req.done) req.done(req.tag, eq_->now());
+    if (on_ready_) on_ready_(tag, addr, eq_->now());
+    if (done) done(tag, eq_->now());
   } else {
-    assert(req.tag == kWriteSentinelTag && "write completed without the sentinel tag");
+    assert(tag == kWriteSentinelTag && "write completed without the sentinel tag");
   }
   TrySchedule();
 }
@@ -208,11 +234,11 @@ void MemCtrl::MaterializeStats() const {
 
 void MemCtrl::Reset() {
   for (DramBank& b : banks_) b.Reset();
-  std::fill(bank_in_flight_.begin(), bank_in_flight_.end(), false);
-  for (auto& q : bank_queues_) q.clear();
-  for (Request& r : in_service_) r = Request{};
+  pool_.clear();
+  free_slots_.clear();
+  std::fill(bank_queues_.begin(), bank_queues_.end(), BankQueue{});
+  std::fill(in_service_.begin(), in_service_.end(), kNil);
   queued_ = 0;
-  pending_read_addrs_.clear();
   std::fill(bank_wake_until_.begin(), bank_wake_until_.end(), 0);
   reads_.Reset();
   writes_.Reset();

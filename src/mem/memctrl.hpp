@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address_map.hpp"
@@ -12,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/sampler.hpp"
+#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -40,15 +39,19 @@ struct BankFault {
 /// open row of its bank is scheduled first; if no queued request is a row
 /// hit, the oldest request overall is scheduled.
 ///
-/// Requests are kept in per-bank FIFO deques (a request only ever competes
-/// with requests for its own bank, so per-bank order is all FR-FCFS needs),
-/// and pending read addresses are counted in a hash index, making the
-/// FR-FCFS pick O(that bank's queue) and HasPendingAddr O(1) instead of
-/// full-queue scans.
+/// Requests live in a pool of slots recycled through a free list, and each
+/// bank's queue is a FIFO list threaded through them (a request only ever
+/// competes with requests for its own bank, so per-bank order is all
+/// FR-FCFS needs): the FR-FCFS pick is O(that bank's queue), and once the
+/// pool has grown to the peak number of pending requests, admitting and
+/// completing one allocates nothing.
 class MemCtrl {
  public:
+  /// Capture budget of a completion: a `this` pointer plus five words of
+  /// request state fit, so a read's completion never allocates.
+  static constexpr std::size_t kDoneBytes = 56;
   /// Completion callback: (request tag, data-ready cycle).
-  using DoneFn = std::function<void(std::uint64_t, sim::Cycle)>;
+  using DoneFn = sim::InlineFunction<void(std::uint64_t, sim::Cycle), kDoneBytes>;
   /// Observation hooks for the NDC engine / recorder.
   using QueueHook = std::function<void(std::uint64_t tag, sim::Addr, sim::Cycle)>;
   /// Fault hooks: bank state when scheduling, extra admission delay under
@@ -82,12 +85,11 @@ class MemCtrl {
   /// Number of requests currently queued (not yet issued to a bank).
   std::size_t queue_depth() const { return queued_; }
 
-  /// True if a *read* of `addr` is currently sitting in the queue or being
-  /// serviced (used by NDC memory-queue meeting checks). Queued writes do
-  /// not count: a write cannot satisfy an offloaded read's meeting. O(1).
-  bool HasPendingAddr(sim::Addr addr) const {
-    return pending_read_addrs_.find(addr) != pending_read_addrs_.end();
-  }
+  /// True if a *read* of `addr` has arrived and not yet completed: queued,
+  /// delayed by a fault, or being serviced. Queued writes do not count: a
+  /// write cannot satisfy an offloaded read's meeting. Scans the request
+  /// pool (an inspection call; the simulator itself never asks).
+  bool HasPendingAddr(sim::Addr addr) const;
 
   /// Hook invoked when a request enters the queue (reads and writes; writes
   /// carry kWriteSentinelTag).
@@ -138,35 +140,44 @@ class MemCtrl {
   void Reset();
 
  private:
+  static constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
   struct Request {
     std::uint64_t tag = 0;
     sim::Addr addr = 0;
     int bank = 0;
     std::uint64_t row = 0;
     bool is_write = false;
+    bool live = false;            ///< arrived and not yet completed
+    std::uint32_t next = kNil;    ///< next slot in its bank's queue
     sim::Cycle enqueued_at = 0;
     DoneFn done;
     std::uint64_t obs_token = 0;
   };
+  /// A bank's FIFO of queued slots.
+  struct BankQueue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
-  void Admit(Request r);
-  void Enqueue(Request r);
+  /// A free pool slot holding a fresh request for `addr`.
+  std::uint32_t Acquire(std::uint64_t tag, sim::Addr addr, bool is_write);
+  void Admit(std::uint32_t slot);
+  void Enqueue(std::uint32_t slot);
   void TrySchedule();
-  void IssueTo(int bank_idx, Request req);
+  void IssueTo(int bank_idx, std::uint32_t slot);
   void Complete(int bank_idx);
   void MaterializeStats() const;
-  void DropPendingRead(sim::Addr addr);
 
   sim::McId id_;
   const AddressMap* amap_;
   sim::EventQueue* eq_;
   std::vector<DramBank> banks_;
-  std::vector<bool> bank_in_flight_;
-  std::vector<std::deque<Request>> bank_queues_;  ///< FIFO per bank
-  std::vector<Request> in_service_;               ///< one slot per bank
-  std::size_t queued_ = 0;                        ///< total across bank_queues_
-  /// addr -> number of pending reads (queued or in service) of that addr.
-  std::unordered_map<sim::Addr, int> pending_read_addrs_;
+  std::vector<Request> pool_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<BankQueue> bank_queues_;
+  std::vector<std::uint32_t> in_service_;  ///< slot per bank, kNil when idle
+  std::size_t queued_ = 0;                 ///< total across bank_queues_
   QueueHook on_enqueue_;
   QueueHook on_ready_;
   BankFaultFn bank_fault_;

@@ -115,9 +115,8 @@ Machine::Machine(const arch::ArchConfig& cfg, MachineOptions opts)
 
 Machine::~Machine() = default;
 
-void Machine::LoadProgram(std::vector<arch::Trace> traces) {
+void Machine::LoadProgram(const std::vector<arch::Trace>& traces) {
   int n = cfg_.num_nodes();
-  traces.resize(static_cast<std::size_t>(n));
   load_to_cand_.assign(static_cast<std::size_t>(n), {});
   cands_.assign(static_cast<std::size_t>(n), {});
   future_reuse_.assign(static_cast<std::size_t>(n), {});
@@ -125,7 +124,8 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
   cand_uid_.assign(static_cast<std::size_t>(n), {});
   std::size_t total_cands = 0;
   for (int c = 0; c < n; ++c) {
-    const arch::Trace& t = traces[static_cast<std::size_t>(c)];
+    std::span<const arch::Instr> t;
+    if (static_cast<std::size_t>(c) < traces.size()) t = traces[static_cast<std::size_t>(c)];
     auto& l2c = load_to_cand_[static_cast<std::size_t>(c)];
     auto& cands = cands_[static_cast<std::size_t>(c)];
     l2c.assign(t.size(), -1);
@@ -150,7 +150,7 @@ void Machine::LoadProgram(std::vector<arch::Trace> traces) {
       future_reuse_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l1.line_bytes);
       future_reuse_l2_[static_cast<std::size_t>(c)] = ComputeFutureReuse(t, cfg_.l2.line_bytes);
     }
-    cores_[static_cast<std::size_t>(c)]->SetTrace(std::move(traces[static_cast<std::size_t>(c)]));
+    cores_[static_cast<std::size_t>(c)]->SetTrace(t);
   }
   // Exact bound (one instance per candidate); see the note on instances_.
   instances_.clear();
@@ -325,25 +325,29 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
     opts_.obs->sink.Instant("ndc.sync", eq_.now(), core, 0, "op",
                             static_cast<std::uint64_t>(instr.sync_op));
   }
-  sync::SyncRequest req;
-  req.op = instr.sync_op;
-  req.addr = instr.addr;
-  req.arg = instr.sync_arg;
-  req.arg2 = instr.sync_arg2;
-  req.core = core;
-  req.slot = idx;
-  req.issued_at = eq_.now();
-  req.grant = [this, engine](const sync::SyncRequest& r, sim::Cycle) {
-    SendLocal(engine, r.core, 8, {}, 0, kSyncResp,
-              [this, core = r.core, slot = r.slot](const noc::Packet&, sim::Cycle) {
-                if (ObsOn()) {
-                  opts_.obs->sink.Instant("ndc.sync.grant", eq_.now(), core, 0);
-                }
-                cores_[static_cast<std::size_t>(core)]->Complete(slot, eq_.now());
-              });
-  };
+  // The request packet carries the slot only; the engine's request is
+  // built from the (borrowed) trace instruction when the packet arrives.
+  sim::Cycle issued_at = eq_.now();
   SendLocal(core, engine, 8, {}, 0, kSyncReq,
-            [this, engine, req = std::move(req)](const noc::Packet&, sim::Cycle) mutable {
+            [this, engine, core, idx, issued_at](const noc::Packet&, sim::Cycle) {
+              const arch::Instr& in = cores_[static_cast<std::size_t>(core)]->trace()[idx];
+              sync::SyncRequest req;
+              req.op = in.sync_op;
+              req.addr = in.addr;
+              req.arg = in.sync_arg;
+              req.arg2 = in.sync_arg2;
+              req.core = core;
+              req.slot = idx;
+              req.issued_at = issued_at;
+              req.grant = [this, engine](const sync::SyncRequest& r, sim::Cycle) {
+                SendLocal(engine, r.core, 8, {}, 0, kSyncResp,
+                          [this, core = r.core, slot = r.slot](const noc::Packet&, sim::Cycle) {
+                            if (ObsOn()) {
+                              opts_.obs->sink.Instant("ndc.sync.grant", eq_.now(), core, 0);
+                            }
+                            cores_[static_cast<std::size_t>(core)]->Complete(slot, eq_.now());
+                          });
+              };
               sync_->Enqueue(engine, std::move(req));
             });
 }
@@ -352,9 +356,9 @@ void Machine::IssueSync(sim::NodeId core, std::uint32_t idx, const arch::Instr& 
 // Memory path
 // ---------------------------------------------------------------------------
 
-void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route route,
-                        std::uint64_t tag, int kind, noc::Network::DeliverFn fn,
-                        std::uint64_t rtok) {
+void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes,
+                        std::span<const sim::LinkId> route, std::uint64_t tag, int kind,
+                        noc::Network::DeliverFn fn, std::uint64_t rtok) {
   if (from == to) {
     eq_.ScheduleAfter(cfg_.noc.router_pipeline, [fn = std::move(fn)] {
       noc::Packet p;
@@ -366,11 +370,11 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route 
   p.src = from;
   p.dst = to;
   p.size_bytes = bytes;
-  p.route = std::move(route);
+  p.route = route;
   p.tag = tag;
   p.kind = kind;
   p.obs_token = rtok;
-  net_->Send(std::move(p), std::move(fn));
+  net_->Send(p, std::move(fn));
 }
 
 void Machine::StartL1Miss(sim::NodeId core, std::uint32_t idx, sim::Addr addr, Instance* inst,
@@ -430,11 +434,11 @@ void Machine::McDataReady(sim::McId mc, sim::NodeId home, sim::NodeId core, std:
   sim::NodeId mc_node = mc_nodes_[static_cast<std::size_t>(mc)];
   auto forward = [this, mc_node, home, core, idx, addr, tag, rtok] {
     Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
-    noc::Route route;
+    std::span<const sim::LinkId> route;
     if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
       route = TagOperand(tag) == 0 ? inst->mc_routes->a : inst->mc_routes->b;
     }
-    SendLocal(mc_node, home, 256, std::move(route), tag, kRespToHome,
+    SendLocal(mc_node, home, 256, route, tag, kRespToHome,
               [this, home, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
                 if (ObsOn() && rtok != 0) {
                   opts_.obs->tracer.Stamp(rtok, obs::Stage::kHomeRefill, eq_.now());
@@ -496,11 +500,11 @@ void Machine::L2DataReady(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
 void Machine::SendResponseToCore(sim::NodeId home, sim::NodeId core, std::uint32_t idx,
                                  sim::Addr addr, std::uint64_t tag, std::uint64_t rtok) {
   Instance* inst = tag ? InstanceByUid(TagUid(tag)) : nullptr;
-  noc::Route route;
+  std::span<const sim::LinkId> route;
   if (inst != nullptr && inst->offloaded && inst->planned == Loc::kLinkBuffer) {
     route = TagOperand(tag) == 0 ? inst->home_routes->a : inst->home_routes->b;
   }
-  SendLocal(home, core, 64, std::move(route), tag, kRespToCore,
+  SendLocal(home, core, 64, route, tag, kRespToCore,
             [this, core, idx, addr, tag, rtok](const noc::Packet&, sim::Cycle) {
               DeliverToCore(core, idx, addr, tag, rtok);
             },
@@ -626,32 +630,37 @@ std::uint8_t Machine::ComputeFeasibility(Instance& inst) {
   return mask;
 }
 
-const noc::RoutePair& Machine::HomePair(sim::NodeId ha, sim::NodeId hb, sim::NodeId core,
-                                        bool reroute) {
+const Machine::RoutePlan& Machine::HomePair(sim::NodeId ha, sim::NodeId hb, sim::NodeId core,
+                                            bool reroute) {
   auto chunk = static_cast<std::size_t>((reroute ? cfg_.num_nodes() : 0) + core);
   return CachedPair(home_pair_idx_[chunk], ha, hb, ha, core, hb, core, reroute);
 }
 
-const noc::RoutePair& Machine::McPair(sim::McId ma, sim::McId mb, sim::NodeId ha,
-                                      sim::NodeId hb, bool reroute) {
+const Machine::RoutePlan& Machine::McPair(sim::McId ma, sim::McId mb, sim::NodeId ha,
+                                          sim::NodeId hb, bool reroute) {
   auto chunk = static_cast<std::size_t>(((reroute ? cfg_.num_mcs : 0) + ma) * cfg_.num_mcs + mb);
   return CachedPair(mc_pair_idx_[chunk], ha, hb, mc_nodes_[static_cast<std::size_t>(ma)], ha,
                     mc_nodes_[static_cast<std::size_t>(mb)], hb, reroute);
 }
 
-const noc::RoutePair& Machine::CachedPair(std::vector<std::uint32_t>& chunk, sim::NodeId ha,
-                                          sim::NodeId hb, sim::NodeId a_src, sim::NodeId a_dst,
-                                          sim::NodeId b_src, sim::NodeId b_dst, bool reroute) {
+const Machine::RoutePlan& Machine::CachedPair(std::vector<std::uint32_t>& chunk, sim::NodeId ha,
+                                              sim::NodeId hb, sim::NodeId a_src,
+                                              sim::NodeId a_dst, sim::NodeId b_src,
+                                              sim::NodeId b_dst, bool reroute) {
   auto n = static_cast<std::size_t>(cfg_.num_nodes());
   if (chunk.empty()) chunk.assign(n * n, 0);
   std::uint32_t& slot = chunk[static_cast<std::size_t>(ha) * n + static_cast<std::size_t>(hb)];
   if (slot == 0) {
-    noc::RoutePair& p = route_pairs_.emplace_back();
+    RoutePlan& p = route_pairs_.emplace_back();
     if (reroute) {
-      p = noc::MaxOverlapRoutes(mesh_, a_src, a_dst, b_src, b_dst);
+      overlap_.Choose(mesh_, a_src, a_dst, b_src, b_dst);
+      p.a = KeepRerouted(overlap_.a());
+      p.b = KeepRerouted(overlap_.b());
+      p.shared = overlap_.shared();
+      p.shared_links = overlap_.shared_links();
     } else {
-      p.a = noc::XyRoute(mesh_, a_src, a_dst);
-      p.b = noc::XyRoute(mesh_, b_src, b_dst);
+      p.a = net_->XyRoute(a_src, a_dst);
+      p.b = net_->XyRoute(b_src, b_dst);
       p.shared = noc::Signature::FromRoute(p.a).Intersect(noc::Signature::FromRoute(p.b));
       p.shared_links = p.shared.Popcount();
     }
@@ -660,12 +669,24 @@ const noc::RoutePair& Machine::CachedPair(std::vector<std::uint32_t>& chunk, sim
   return route_pairs_[slot - 1];
 }
 
+std::span<const sim::LinkId> Machine::KeepRerouted(std::span<const sim::LinkId> links) {
+  constexpr std::size_t kChunkLinks = 4096;
+  if (reroute_links_.empty() ||
+      reroute_links_.back().size() + links.size() > reroute_links_.back().capacity()) {
+    reroute_links_.emplace_back().reserve(std::max(kChunkLinks, links.size()));
+  }
+  std::vector<sim::LinkId>& chunk = reroute_links_.back();
+  std::size_t at = chunk.size();
+  chunk.insert(chunk.end(), links.begin(), links.end());  // within capacity: no move
+  return std::span<const sim::LinkId>(chunk).subspan(at, links.size());
+}
+
 void Machine::PlanRoutes(Instance& inst) {
   bool reroute = inst.is_precompute && cfg_.allow_reroute && !opts_.observe;
   sim::NodeId ha = amap_.HomeBank(inst.addr[0]), hb = amap_.HomeBank(inst.addr[1]);
   sim::McId ma = amap_.Mc(inst.addr[0]), mb = amap_.Mc(inst.addr[1]);
-  const noc::RoutePair& p1 = HomePair(ha, hb, inst.core, reroute);
-  const noc::RoutePair& p2 = McPair(ma, mb, ha, hb, reroute);
+  const RoutePlan& p1 = HomePair(ha, hb, inst.core, reroute);
+  const RoutePlan& p2 = McPair(ma, mb, ha, hb, reroute);
   inst.home_routes = &p1;
   inst.mc_routes = &p2;
   // Observation timing link: the first shared link along operand A's
@@ -749,7 +770,7 @@ noc::HopAction Machine::OnHop(noc::Packet& p, sim::LinkId link, sim::Cycle now) 
 }
 
 bool Machine::OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node,
-                             int service_key, std::function<void()> resume) {
+                             int service_key, Resume resume) {
   if (inst.at_planned[static_cast<std::size_t>(operand)] == sim::kNeverCycle) {
     inst.at_planned[static_cast<std::size_t>(operand)] = eq_.now();
     ReportWindow(inst);

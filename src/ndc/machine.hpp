@@ -3,9 +3,9 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -20,6 +20,8 @@
 #include "ndc/record.hpp"
 #include "obs/obs.hpp"
 #include "noc/network.hpp"
+#include "noc/routing.hpp"
+#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "sync/sync.hpp"
@@ -97,8 +99,11 @@ class Machine final : public arch::MemoryPort {
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
-  /// Installs one trace per core (missing cores idle).
-  void LoadProgram(std::vector<arch::Trace> traces);
+  /// Installs one trace per core (missing cores idle). The machine borrows
+  /// the traces: the caller keeps them alive and unchanged until the machine
+  /// is destroyed. A temporary would dangle, so rvalues are rejected.
+  void LoadProgram(const std::vector<arch::Trace>& traces);
+  void LoadProgram(std::vector<arch::Trace>&&) = delete;
 
   /// Runs to completion (or `limit`) and returns aggregate results.
   /// Per the EventQueue clock contract, eq().now() == `limit` afterwards
@@ -145,6 +150,22 @@ class Machine final : public arch::MemoryPort {
 
   enum class InstState { kPending, kWaiting, kComputed, kAborted, kConventional };
 
+  /// A held response's continuation: forwards the operand data onward from
+  /// a non-link NDC location. Its capture (the request's identity) is at
+  /// most six words.
+  using Resume = sim::InlineFunction<void(), 48>;
+
+  /// The response routes of a candidate's two operands (home->core or
+  /// MC->home). The links are borrowed from the network's X-Y table or,
+  /// when rerouted, from reroute_links_; a packet sent along a plan borrows
+  /// them in turn.
+  struct RoutePlan {
+    std::span<const sim::LinkId> a;
+    std::span<const sim::LinkId> b;
+    noc::Signature shared;  ///< S_a ∩ S_b
+    int shared_links = 0;
+  };
+
   // One dynamic NDC candidate in flight.
   struct Instance {
     std::uint64_t uid = 0;
@@ -165,8 +186,8 @@ class Machine final : public arch::MemoryPort {
 
     // Routing plan: the response routes home->core and MC->home for both
     // operands (entries of route_pairs_, which never move).
-    const noc::RoutePair* home_routes = nullptr;
-    const noc::RoutePair* mc_routes = nullptr;
+    const RoutePlan* home_routes = nullptr;
+    const RoutePlan* mc_routes = nullptr;
     sim::LinkId obs_link = sim::kNoLink;  ///< link used for observation timing
     bool fallback_done = false;
 
@@ -174,7 +195,7 @@ class Machine final : public arch::MemoryPort {
     int waiting_op = -1;
     sim::LinkId held_link = sim::kNoLink;
     std::uint64_t held_packet = 0;
-    std::function<void()> resume;  // held response continuation (non-link locs)
+    Resume resume;  // held response continuation (non-link locs)
     std::uint64_t wait_token = 0;
     int service_key = -1;
 
@@ -208,9 +229,11 @@ class Machine final : public arch::MemoryPort {
                           sim::Addr addr, std::uint64_t tag, std::uint64_t rtok);
   void DeliverToCore(sim::NodeId core, std::uint32_t idx, sim::Addr addr, std::uint64_t tag,
                      std::uint64_t rtok);
-  void SendLocal(sim::NodeId from, sim::NodeId to, int bytes, noc::Route route,
-                 std::uint64_t tag, int kind, noc::Network::DeliverFn fn,
-                 std::uint64_t rtok = 0);
+  /// Sends a packet along `route` (empty: the X-Y default), or delivers
+  /// after one router pipeline when from == to.
+  void SendLocal(sim::NodeId from, sim::NodeId to, int bytes,
+                 std::span<const sim::LinkId> route, std::uint64_t tag, int kind,
+                 noc::Network::DeliverFn fn, std::uint64_t rtok = 0);
 
   // -- NDC engine --
   void OnSecondLoadIssued(Instance& inst, const CandInfo& cand);
@@ -220,7 +243,7 @@ class Machine final : public arch::MemoryPort {
   /// Operand data became available at a non-link location. Returns true if
   /// the machine should NOT forward the data onward (held or consumed).
   bool OnOperandAtLoc(Instance& inst, int operand, Loc loc, sim::NodeId node, int service_key,
-                      std::function<void()> resume);
+                      Resume resume);
   void MeetAndCompute(Instance& inst, Loc loc, sim::NodeId node);
   /// Arms (or re-arms) the wait-timeout timer for a waiting instance using
   /// its current (possibly backed-off) window.
@@ -289,23 +312,28 @@ class Machine final : public arch::MemoryPort {
   std::vector<std::vector<std::uint64_t>> cand_uid_;
   std::uint64_t next_wait_token_ = 1;
 
-  // Memoized route pairs, computed on first use. route_pairs_ owns them (a
+  // Memoized route plans, computed on first use. route_pairs_ owns them (a
   // deque, so the pointers stay valid); the two tables index them densely.
   // Home pairs (ha->core, hb->core) live in chunk [reroute][core] at slot
   // ha * N + hb; MC pairs (mc(ma)->ha, mc(mb)->hb) in chunk
   // [reroute][ma][mb] at slot ha * N + hb. A slot holds 1 + the pair's
   // route_pairs_ index, 0 until computed. Chunks are allocated on first
   // use, so a run touches only the cores and MC pairs it needs.
-  std::deque<noc::RoutePair> route_pairs_;
+  std::deque<RoutePlan> route_pairs_;
   std::vector<std::vector<std::uint32_t>> home_pair_idx_;
   std::vector<std::vector<std::uint32_t>> mc_pair_idx_;
-  const noc::RoutePair& HomePair(sim::NodeId ha, sim::NodeId hb, sim::NodeId core,
-                                 bool reroute);
-  const noc::RoutePair& McPair(sim::McId ma, sim::McId mb, sim::NodeId ha, sim::NodeId hb,
-                               bool reroute);
-  const noc::RoutePair& CachedPair(std::vector<std::uint32_t>& chunk, sim::NodeId ha,
-                                   sim::NodeId hb, sim::NodeId a_src, sim::NodeId a_dst,
-                                   sim::NodeId b_src, sim::NodeId b_dst, bool reroute);
+  // Links of rerouted plans, appended to chunks that never reallocate (each
+  // is filled only up to the capacity it was reserved with).
+  std::vector<std::vector<sim::LinkId>> reroute_links_;
+  noc::OverlapSearch overlap_;  ///< reused by every rerouted plan
+  const RoutePlan& HomePair(sim::NodeId ha, sim::NodeId hb, sim::NodeId core, bool reroute);
+  const RoutePlan& McPair(sim::McId ma, sim::McId mb, sim::NodeId ha, sim::NodeId hb,
+                          bool reroute);
+  const RoutePlan& CachedPair(std::vector<std::uint32_t>& chunk, sim::NodeId ha,
+                              sim::NodeId hb, sim::NodeId a_src, sim::NodeId a_dst,
+                              sim::NodeId b_src, sim::NodeId b_dst, bool reroute);
+  /// Copies `links` into reroute_links_ and returns the stable copy.
+  std::span<const sim::LinkId> KeepRerouted(std::span<const sim::LinkId> links);
 
   std::array<std::map<int, int>, arch::kNumLocs> service_tables_;
   std::vector<int> active_offloads_;  // per-core offload-table occupancy

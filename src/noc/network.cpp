@@ -10,6 +10,22 @@ Network::Network(Mesh mesh, sim::EventQueue& eq, NetworkParams params)
     : mesh_(mesh), eq_(eq), params_(params) {
   link_busy_until_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
   link_hold_count_.assign(static_cast<std::size_t>(mesh_.num_link_slots()), 0);
+  const int n = mesh_.num_nodes();
+  std::size_t total = 0;
+  for (sim::NodeId s = 0; s < n; ++s) {
+    for (sim::NodeId d = 0; d < n; ++d) total += static_cast<std::size_t>(mesh_.Distance(s, d));
+  }
+  xy_begin_.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n) + 1);
+  xy_links_.reserve(total);
+  xy_begin_.push_back(0);
+  Route r;
+  for (sim::NodeId s = 0; s < n; ++s) {
+    for (sim::NodeId d = 0; d < n; ++d) {
+      XyRouteInto(mesh_, s, d, r);
+      xy_links_.insert(xy_links_.end(), r.begin(), r.end());
+      xy_begin_.push_back(static_cast<std::uint32_t>(xy_links_.size()));
+    }
+  }
 }
 
 void Network::RegisterMetrics(obs::Registry& reg) {
@@ -33,34 +49,35 @@ Network::Flight* Network::AcquireFlight() {
 }
 
 void Network::ReleaseFlight(Flight* f) {
-  f->deliver = nullptr;        // drop captured state now, keep the slot
-  f->packet.route.clear();     // keep capacity for the next packet
+  f->deliver = nullptr;  // drop captured state now, keep the slot
   free_flights_.push_back(f);
+}
+
+std::size_t Network::FindHeld(std::uint64_t id) const {
+  std::size_t i = 0;
+  while (i < held_.size() && held_[i].id != id) ++i;
+  return i;
+}
+
+Network::Held Network::TakeHeld(std::size_t i) {
+  Held h = held_[i];
+  held_[i] = held_.back();
+  held_.pop_back();
+  return h;
 }
 
 std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
   p.id = ++next_seq_;
   p.hop = 0;
+  if (p.route.empty()) p.route = XyRoute(p.src, p.dst);
   packets_.Add();
   bytes_.Add(static_cast<std::uint64_t>(p.size_bytes));
-  std::uint64_t id = p.id;
   Flight* f = AcquireFlight();
-  // Hold on to the pooled route buffer so the default X-Y route reuses its
-  // capacity; a caller-selected route replaces it wholesale.
-  Route pooled = std::move(f->packet.route);
-  f->packet = std::move(p);
-  if (f->packet.route.empty()) {
-    if (f->packet.src != f->packet.dst) {
-      XyRouteInto(mesh_, f->packet.src, f->packet.dst, pooled);
-    } else {
-      pooled.clear();
-    }
-    f->packet.route = std::move(pooled);
-  }
+  f->packet = p;
   f->deliver = std::move(on_deliver);
   // Local delivery (same node) still pays one router pipeline transit.
   eq_.ScheduleAfter(0, [this, f] { ProcessHop(f, /*run_hook=*/true); });
-  return id;
+  return p.id;
 }
 
 void Network::ProcessHop(Flight* f, bool run_hook) {
@@ -82,7 +99,7 @@ void Network::ProcessHop(Flight* f, bool run_hook) {
       case HopAction::kHold:
         holds_.Add();
         ++link_hold_count_[static_cast<std::size_t>(link)];
-        held_.emplace(p.id, Held{f, link});
+        held_.push_back(Held{p.id, f, link});
         return;
       case HopAction::kSquash:
         squashes_.Add();
@@ -148,20 +165,18 @@ void Network::Traverse(Flight* f, sim::LinkId link) {
 }
 
 void Network::Release(std::uint64_t packet_id) {
-  auto it = held_.find(packet_id);
-  if (it == held_.end()) return;
-  Held h = it->second;
-  held_.erase(it);
+  std::size_t i = FindHeld(packet_id);
+  if (i == held_.size()) return;
+  Held h = TakeHeld(i);
   releases_.Add();
   --link_hold_count_[static_cast<std::size_t>(h.link)];
   Traverse(h.flight, h.link);
 }
 
 void Network::Squash(std::uint64_t packet_id) {
-  auto it = held_.find(packet_id);
-  if (it == held_.end()) return;
-  Held h = it->second;
-  held_.erase(it);
+  std::size_t i = FindHeld(packet_id);
+  if (i == held_.size()) return;
+  Held h = TakeHeld(i);
   squashes_.Add();
   --link_hold_count_[static_cast<std::size_t>(h.link)];
   ReleaseFlight(h.flight);

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "noc/geometry.hpp"
@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/sampler.hpp"
+#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 
@@ -23,15 +24,17 @@ struct NetworkParams {
   int link_bytes = 16;             ///< link width (bytes transferred per cycle)
 };
 
-/// A message traversing the NoC. `route` is fixed at injection time (the
-/// compiler may have selected a non-default minimal route; hardware default
-/// is X-Y).
+/// A message traversing the NoC: a fixed header that owns nothing. `route`
+/// is fixed at injection time (the compiler may have selected a non-default
+/// minimal route; hardware default is X-Y) and borrowed: Send points an
+/// empty route at the network's own X-Y table, and a sender that supplies a
+/// route keeps its links alive until the packet is delivered or squashed.
 struct Packet {
   std::uint64_t id = 0;       ///< assigned by Network::Send
   sim::NodeId src = 0;
   sim::NodeId dst = 0;
   int size_bytes = 8;
-  Route route;                ///< links from src to dst
+  std::span<const sim::LinkId> route;  ///< links from src to dst
   std::size_t hop = 0;        ///< index of the next link to traverse
   std::uint64_t tag = 0;      ///< opaque user tag (e.g. memory request id)
   int kind = 0;               ///< opaque user kind
@@ -62,7 +65,11 @@ struct LinkFault {
 /// at link buffers.
 class Network {
  public:
-  using DeliverFn = std::function<void(const Packet&, sim::Cycle)>;
+  /// Capture budget of a delivery completion: a `this` pointer plus five
+  /// words of request state (the memory path's largest) fit, so handing a
+  /// completion to Send never allocates.
+  static constexpr std::size_t kDeliverBytes = 56;
+  using DeliverFn = sim::InlineFunction<void(const Packet&, sim::Cycle), kDeliverBytes>;
   /// Called when `packet` is at the router about to traverse `link`.
   using HopHook = std::function<HopAction(Packet&, sim::LinkId, sim::Cycle)>;
   /// Called per link traversal attempt when installed; returns the fault
@@ -74,9 +81,18 @@ class Network {
   const Mesh& mesh() const { return mesh_; }
   const NetworkParams& params() const { return params_; }
 
-  /// Injects a packet. If `p.route` is empty and src != dst, the default
-  /// X-Y route is used. Returns the packet id.
+  /// Injects a packet. If `p.route` is empty, it borrows the default X-Y
+  /// route (empty when src == dst). Returns the packet id.
   std::uint64_t Send(Packet p, DeliverFn on_deliver);
+
+  /// The X-Y route from src to dst, from the table built at construction.
+  /// Valid for the network's lifetime.
+  std::span<const sim::LinkId> XyRoute(sim::NodeId src, sim::NodeId dst) const {
+    std::size_t pair = static_cast<std::size_t>(src) * static_cast<std::size_t>(mesh_.num_nodes()) +
+                       static_cast<std::size_t>(dst);
+    return std::span<const sim::LinkId>(xy_links_).subspan(xy_begin_[pair],
+                                                           xy_begin_[pair + 1] - xy_begin_[pair]);
+  }
 
   /// Resumes a packet previously held by the hop hook. No-op if the id is
   /// unknown (e.g. already squashed).
@@ -85,7 +101,7 @@ class Network {
   /// Consumes a held packet (its data was absorbed by an NDC computation).
   void Squash(std::uint64_t packet_id);
 
-  bool IsHeld(std::uint64_t packet_id) const { return held_.count(packet_id) != 0; }
+  bool IsHeld(std::uint64_t packet_id) const { return FindHeld(packet_id) != held_.size(); }
 
   void set_hop_hook(HopHook hook) { hop_hook_ = std::move(hook); }
 
@@ -137,18 +153,22 @@ class Network {
   /// Flight*} (which fits a SmallCallback's inline buffer), so a hop
   /// schedules nothing on the heap; the seed implementation instead moved
   /// the whole Packet + DeliverFn into a fresh std::function per hop.
-  /// Flights are recycled through a free list; their route vectors keep
-  /// their capacity across reuse.
+  /// Flights are recycled through a free list.
   struct Flight {
     Packet packet;
     DeliverFn deliver;
   };
 
   struct Held {
+    std::uint64_t id;
     Flight* flight;
     sim::LinkId link;
   };
 
+  /// Index of the held packet `id` in held_, or held_.size() if none.
+  std::size_t FindHeld(std::uint64_t id) const;
+  /// Removes held_[i] (order in held_ carries no meaning).
+  Held TakeHeld(std::size_t i);
   Flight* AcquireFlight();
   void ReleaseFlight(Flight* f);
   void ProcessHop(Flight* f, bool run_hook);
@@ -171,7 +191,14 @@ class Network {
   // Held packets occupy link-buffer slots; passing traffic pays a
   // per-held-packet delay (buffer pressure).
   std::vector<int> link_hold_count_;
-  std::unordered_map<std::uint64_t, Held> held_;
+  // Packets parked by the hop hook. An NDC wait holds at most one operand
+  // per instance and link-buffer service tables are small, so a linear
+  // search beats hashing, and the vector stops allocating once it has grown.
+  std::vector<Held> held_;
+  // X-Y route of pair (s, d): xy_links_[xy_begin_[s * N + d] ..
+  // xy_begin_[s * N + d + 1]). Built once; packets borrow from it.
+  std::vector<std::uint32_t> xy_begin_;
+  std::vector<sim::LinkId> xy_links_;
   std::deque<Flight> flight_arena_;  ///< stable storage for pooled flights
   std::vector<Flight*> free_flights_;
   std::uint64_t next_seq_ = 0;

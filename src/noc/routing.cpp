@@ -93,28 +93,6 @@ std::vector<Route> EnumerateMinimalRoutes(const Mesh& mesh, sim::NodeId src, sim
 
 namespace {
 
-// All single/double-pivot staircase routes for one src/dst pair. This family
-// contains XY, YX, and every "x-run / y-run / x-run / y-run" shape, which is
-// sufficient to realize the maximum link overlap with another monotone path
-// (the shared links of two monotone paths always form a staircase that both
-// paths can adopt; verified against brute force in tests).
-std::vector<Route> CandidateRoutes(const Mesh& mesh, sim::NodeId src, sim::NodeId dst) {
-  Coord s = mesh.CoordOf(src);
-  Coord d = mesh.CoordOf(dst);
-  int x_lo = std::min(s.x, d.x), x_hi = std::max(s.x, d.x);
-  int y_lo = std::min(s.y, d.y), y_hi = std::max(s.y, d.y);
-  std::vector<Route> out;
-  for (int px = x_lo; px <= x_hi; ++px) {
-    for (int py = y_lo; py <= y_hi; ++py) {
-      out.push_back(StaircaseRoute(mesh, src, dst, px, py));
-    }
-  }
-  // Deduplicate (degenerate pivots collapse to the same route).
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 RoutePair BestOf(const std::vector<Route>& as, const std::vector<Route>& bs) {
   RoutePair best;
   best.shared_links = -1;
@@ -134,9 +112,74 @@ RoutePair BestOf(const std::vector<Route>& as, const std::vector<Route>& bs) {
 
 }  // namespace
 
+// The single/double-pivot staircase family contains XY, YX, and every
+// "x-run / y-run / x-run / y-run" shape, which is sufficient to realize the
+// maximum link overlap with another monotone path (the shared links of two
+// monotone paths always form a staircase that both paths can adopt;
+// verified against brute force in tests).
+void OverlapSearch::Candidates::Fill(const Mesh& mesh, sim::NodeId src, sim::NodeId dst) {
+  Coord s = mesh.CoordOf(src);
+  Coord d = mesh.CoordOf(dst);
+  int x_lo = std::min(s.x, d.x), x_hi = std::max(s.x, d.x);
+  int y_lo = std::min(s.y, d.y), y_hi = std::max(s.y, d.y);
+  len = static_cast<std::size_t>(mesh.Distance(src, dst));
+  links.clear();
+  order.clear();
+  for (int px = x_lo; px <= x_hi; ++px) {
+    for (int py = y_lo; py <= y_hi; ++py) {
+      Coord cur = s;
+      AppendXRun(mesh, cur, px, links);
+      AppendYRun(mesh, cur, py, links);
+      AppendXRun(mesh, cur, d.x, links);
+      AppendYRun(mesh, cur, d.y, links);
+      order.push_back(static_cast<std::uint32_t>(order.size()));
+    }
+  }
+  // Sort lexicographically and drop duplicates (degenerate pivots collapse
+  // to the same route).
+  auto slice = [this](std::uint32_t k) {
+    return std::span<const sim::LinkId>(links).subspan(k * len, len);
+  };
+  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+    std::span<const sim::LinkId> rx = slice(x), ry = slice(y);
+    return std::lexicographical_compare(rx.begin(), rx.end(), ry.begin(), ry.end());
+  });
+  order.erase(std::unique(order.begin(), order.end(),
+                          [&](std::uint32_t x, std::uint32_t y) {
+                            std::span<const sim::LinkId> rx = slice(x), ry = slice(y);
+                            return std::equal(rx.begin(), rx.end(), ry.begin(), ry.end());
+                          }),
+              order.end());
+  sigs.resize(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) sigs[k] = Signature::FromRoute(At(k));
+}
+
+void OverlapSearch::Choose(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
+                           sim::NodeId b_src, sim::NodeId b_dst) {
+  as_.Fill(mesh, a_src, a_dst);
+  bs_.Fill(mesh, b_src, b_dst);
+  // The first pair with the most shared links wins (strict greater).
+  shared_links_ = -1;
+  for (std::size_t i = 0; i < as_.sigs.size(); ++i) {
+    for (std::size_t j = 0; j < bs_.sigs.size(); ++j) {
+      Signature inter = as_.sigs[i].Intersect(bs_.sigs[j]);
+      int n = inter.Popcount();
+      if (n > shared_links_) {
+        best_a_ = i;
+        best_b_ = j;
+        shared_ = inter;
+        shared_links_ = n;
+      }
+    }
+  }
+}
+
 RoutePair MaxOverlapRoutes(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
                            sim::NodeId b_src, sim::NodeId b_dst) {
-  return BestOf(CandidateRoutes(mesh, a_src, a_dst), CandidateRoutes(mesh, b_src, b_dst));
+  OverlapSearch s;
+  s.Choose(mesh, a_src, a_dst, b_src, b_dst);
+  return RoutePair{Route(s.a().begin(), s.a().end()), Route(s.b().begin(), s.b().end()),
+                   s.shared(), s.shared_links()};
 }
 
 RoutePair MaxOverlapRoutesBruteForce(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,

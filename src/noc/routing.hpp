@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noc/geometry.hpp"
@@ -48,6 +51,43 @@ struct RoutePair {
 /// exhaustive enumeration in tests).
 RoutePair MaxOverlapRoutes(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst,
                            sim::NodeId b_src, sim::NodeId b_dst);
+
+/// MaxOverlapRoutes with reusable buffers: once they have grown, a choice
+/// allocates nothing. The chosen routes are views into this object, valid
+/// until the next Choose.
+class OverlapSearch {
+ public:
+  /// Picks the same pair MaxOverlapRoutes returns.
+  void Choose(const Mesh& mesh, sim::NodeId a_src, sim::NodeId a_dst, sim::NodeId b_src,
+              sim::NodeId b_dst);
+
+  std::span<const sim::LinkId> a() const { return as_.At(best_a_); }
+  std::span<const sim::LinkId> b() const { return bs_.At(best_b_); }
+  const Signature& shared() const { return shared_; }
+  int shared_links() const { return shared_links_; }
+
+ private:
+  /// The distinct single/double-pivot staircase routes of one src/dst
+  /// pair, in ascending lexicographic order. All of them are minimal, so
+  /// they share one length: route k's links are
+  /// links[order[k] * len, (order[k] + 1) * len).
+  struct Candidates {
+    std::size_t len = 0;
+    Route links;
+    std::vector<std::uint32_t> order;
+    std::vector<Signature> sigs;  ///< signature of route k
+
+    void Fill(const Mesh& mesh, sim::NodeId src, sim::NodeId dst);
+    std::span<const sim::LinkId> At(std::size_t k) const {
+      return std::span<const sim::LinkId>(links).subspan(order[k] * len, len);
+    }
+  };
+
+  Candidates as_, bs_;
+  std::size_t best_a_ = 0, best_b_ = 0;
+  Signature shared_;
+  int shared_links_ = 0;
+};
 
 /// Exhaustive-search reference implementation of MaxOverlapRoutes (small
 /// meshes only; O(#paths^2)).

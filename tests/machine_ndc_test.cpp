@@ -41,7 +41,8 @@ TEST(MachineNdc, MemorySidePlannedPairMeetsAtMc) {
   Machine m(cfg);
   Trace t{MakeLoad(kPageA), MakeLoad(kPageB),
           MakePreCompute(Op::kAdd, 0, 1, Loc::kMemCtrl, 4000)};
-  m.LoadProgram(Program1(12, std::move(t)));
+  const std::vector<Trace> m_program = Program1(12, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.ndc_success, 1u);
   EXPECT_EQ(r.ndc_at_loc[static_cast<std::size_t>(Loc::kMemCtrl)], 1u);
@@ -56,7 +57,8 @@ TEST(MachineNdc, MemoryBankPlannedPairMeetsAtBank) {
   ASSERT_EQ(m.amap().DramBank(kPageA), m.amap().DramBank(kPageB));
   Trace t{MakeLoad(kPageA), MakeLoad(kPageB),
           MakePreCompute(Op::kAdd, 0, 1, Loc::kMemBank, 4000)};
-  m.LoadProgram(Program1(12, std::move(t)));
+  const std::vector<Trace> m_program = Program1(12, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.ndc_at_loc[static_cast<std::size_t>(Loc::kMemBank)], 1u);
 }
@@ -68,7 +70,8 @@ TEST(MachineNdc, LinkPlannedPairMeetsInNetwork) {
   sim::Addr a = 256ull * 2;   // home 2
   sim::Addr b = 256ull * 3;   // home 3
   Trace t{MakeLoad(a), MakeLoad(b), MakePreCompute(Op::kAdd, 0, 1, Loc::kLinkBuffer, 4000)};
-  m.LoadProgram(Program1(12, std::move(t)));
+  const std::vector<Trace> m_program = Program1(12, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.ndc_success + r.fallbacks, 1u);
   if (r.ndc_success == 1) {
@@ -80,7 +83,8 @@ TEST(MachineNdc, CacheMeetLeavesLinesInL2) {
   ArchConfig cfg;
   Machine m(cfg);
   Trace t{MakeLoad(kA), MakeLoad(kB), MakePreCompute(Op::kAdd, 0, 1, Loc::kCacheCtrl, 4000)};
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   ASSERT_EQ(r.ndc_success, 1u);
   // An L2-bank meeting consumes the responses but the lines stay cached.
@@ -103,7 +107,8 @@ TEST(MachineNdc, OffloadTableCapacityBoundsConcurrentOffloads) {
     t.push_back(MakeLoad(kB + static_cast<sim::Addr>(i) * 64 * 25 * 8));
     t.push_back(MakeCompute(Op::kAdd, l0, l0 + 1, true));
   }
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_GT(r.stats.Get("ndc.offload_table_full"), 0u);
   EXPECT_LT(r.offloads, r.candidates);
@@ -114,7 +119,8 @@ TEST(MachineNdc, ServiceTableFullAborts) {
   cfg.service_table_entries = 0;  // no NDC ALU slots anywhere
   Machine m(cfg);
   Trace t{MakeLoad(kA), MakeLoad(kB), MakePreCompute(Op::kAdd, 0, 1, Loc::kCacheCtrl, 4000)};
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.ndc_success, 0u);
   EXPECT_GT(r.stats.Get("ndc.service_table_full"), 0u);
@@ -127,7 +133,8 @@ TEST(MachineNdc, ObserveRecordsL2Residency) {
   opts.observe = true;
   Machine m(cfg, opts);
   Trace t{MakeLoad(kA), MakeLoad(kB), MakeCompute(Op::kAdd, 0, 1, true)};
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   const InstanceRecord* rec = r.records->Find(6, 2);
   ASSERT_NE(rec, nullptr);
@@ -142,7 +149,8 @@ TEST(MachineNdc, RegisterOperandPairsWithSameAddress) {
   ArchConfig cfg;
   Machine m(cfg);
   Trace t{MakeLoad(kA), MakeLoad(kA), MakePreCompute(Op::kAdd, 0, 1, Loc::kCacheCtrl, 4000)};
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
   EXPECT_EQ(r.candidates, 1u);
@@ -172,7 +180,7 @@ TEST(MachineNdc, HeldPacketDelaysPassingTraffic) {
     }
     p[1] = std::move(t7);
     Machine mm(cfg);
-    mm.LoadProgram(std::move(p));
+    mm.LoadProgram(p);
     RunResult r = mm.Run();
     return r;
   };
@@ -199,7 +207,8 @@ TEST(MachineNdc, MarkovPolicyRunsEndToEnd) {
     arch::Instr c = MakeCompute(Op::kAdd, l0, l0 + 1, true, /*pc=*/7);
     t.push_back(c);
   }
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
   EXPECT_GT(r.offloads, 0u);
@@ -213,7 +222,8 @@ TEST(MachineNdc, ControlRegisterZeroMeansConventional) {
   opts.policy = &policy;
   Machine m(cfg, opts);
   Trace t{MakeLoad(kA), MakeLoad(kB), MakeCompute(Op::kAdd, 0, 1, true)};
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.offloads, 0u);
   EXPECT_TRUE(m.l1(6).Contains(kA));
@@ -241,7 +251,8 @@ TEST(MachineNdc, MeetingThatDispatchesANewInstanceKeepsItsOwn) {
           MakeLoad(kX, 6),  // waits for load 6, so kX is in the local L1
           MakeLoad(256ull * 8),
           MakePreCompute(Op::kAdd, 7, 8, Loc::kCacheCtrl, 4000)};
-  m.LoadProgram(Program1(6, std::move(t)));
+  const std::vector<Trace> m_program = Program1(6, std::move(t));
+  m.LoadProgram(m_program);
   RunResult r = m.Run();
   EXPECT_EQ(r.stats.Get("run.incomplete_cores"), 0u);
   EXPECT_EQ(r.ndc_success, 2u);
