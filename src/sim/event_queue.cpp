@@ -24,16 +24,20 @@ Cycle EventQueue::NextEventCycle() const {
       wheel_next = now_ + ((idx - pos) & kWheelMask);
     }
   }
-  if (!far_.empty() && far_.begin()->first < wheel_next) return far_.begin()->first;
+  if (!far_.empty() && far_.front().when < wheel_next) return far_.front().when;
   return wheel_next;
 }
 
 void EventQueue::StartDrain(Cycle c) {
   assert(c != kNeverCycle && c >= now_);
   now_ = c;
-  if (!far_.empty() && far_.begin()->first == c) {
-    far_cur_ = std::move(far_.begin()->second);
-    far_.erase(far_.begin());
+  // Promote this cycle's overflow entries in schedule order.
+  while (!far_.empty() && far_.front().when == c) {
+    std::pop_heap(far_.begin(), far_.end(), FarLater{});
+    std::uint32_t slot = far_.back().slot;
+    far_.pop_back();
+    far_cur_.push_back(std::move(far_slots_[slot]));
+    far_free_.push_back(slot);
   }
   far_idx_ = 0;
   cur_bucket_ = static_cast<std::size_t>(c) & kWheelMask;

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -29,12 +29,15 @@ namespace ndc::sim {
 ///    about a dozen events per cycle, so a wheel of thousands of buckets is
 ///    evicted from cache before it wraps and every append misses, while 256
 ///    buckets stay warm (DESIGN.md §10 has the measurements);
-///  - events at or beyond now + kWheelSize land in a sorted overflow map
-///    and are promoted when the clock reaches them. Overflow entries for a
-///    cycle are always older (scheduled earlier) than any wheel entry for
-///    the same cycle — `now` is monotonic, so once a cycle is inside the
-///    wheel window it can never be scheduled into the overflow again —
-///    which is what keeps the FIFO tie-break exact across the two levels;
+///  - events at or beyond now + kWheelSize land in an overflow min-heap
+///    ordered by (cycle, schedule sequence) and are promoted when the clock
+///    reaches them. The heap holds small keys; the callbacks sit in a slot
+///    pool recycled through a free list, so once both have grown a far
+///    event allocates nothing. Overflow entries for a cycle are always
+///    older (scheduled earlier) than any wheel entry for the same cycle —
+///    `now` is monotonic, so once a cycle is inside the wheel window it can
+///    never be scheduled into the overflow again — which is what keeps the
+///    FIFO tie-break exact across the two levels;
 ///  - callbacks are stored in SmallCallback slots: small captures live
 ///    inline in the bucket, large ones in a pooled arena, so the hot
 ///    scheduling path performs no heap allocation.
@@ -56,7 +59,17 @@ class EventQueue {
       wheel_[b].push_back(std::move(c));
       occupied_[b >> 6] |= 1ull << (b & 63);
     } else {
-      far_[when].push_back(std::move(c));
+      std::uint32_t slot;
+      if (far_free_.empty()) {
+        slot = static_cast<std::uint32_t>(far_slots_.size());
+        far_slots_.push_back(std::move(c));
+      } else {
+        slot = far_free_.back();
+        far_free_.pop_back();
+        far_slots_[slot] = std::move(c);
+      }
+      far_.push_back(FarKey{when, far_seq_++, slot});
+      std::push_heap(far_.begin(), far_.end(), FarLater{});
     }
   }
 
@@ -94,6 +107,20 @@ class EventQueue {
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;
 
+  /// An overflow entry: its cycle, its schedule sequence (the FIFO
+  /// tie-break among entries of one cycle) and its callback's slot.
+  struct FarKey {
+    Cycle when;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// Heap order: the earliest (cycle, sequence) on top.
+  struct FarLater {
+    bool operator()(const FarKey& x, const FarKey& y) const {
+      return x.when != y.when ? x.when > y.when : x.seq > y.seq;
+    }
+  };
+
   /// Cycle of the earliest pending event; kNeverCycle when empty.
   Cycle NextEventCycle() const;
   /// Positions the drain cursor on cycle `c` (advancing now_ to it).
@@ -106,7 +133,10 @@ class EventQueue {
   CallbackArena arena_;
   std::vector<std::vector<SmallCallback>> wheel_;  ///< kWheelSize per-cycle buckets
   std::vector<std::uint64_t> occupied_;            ///< wheel occupancy bitmap
-  std::map<Cycle, std::vector<SmallCallback>> far_;  ///< events beyond the wheel
+  std::vector<FarKey> far_;                 ///< min-heap of events beyond the wheel
+  std::vector<SmallCallback> far_slots_;    ///< their callbacks, by slot
+  std::vector<std::uint32_t> far_free_;     ///< free far_slots_ entries
+  std::uint64_t far_seq_ = 0;
 
   // Drain cursor: the cycle currently executing. Promoted overflow entries
   // (always older) run before the wheel bucket's entries.
