@@ -18,7 +18,7 @@
 //
 // Allocation counts come from an instrumented global operator new/delete in
 // this translation unit. The stream benches sample after a warmup pass so
-// one-time pool/bucket growth is excluded (steady-state behaviour is what
+// one-time pool growth is excluded (steady-state behaviour is what
 // the floor is about); a `machine:*` row counts everything inside one
 // Machine::Run, growth of a fresh Machine's pools included.
 //
@@ -117,8 +117,8 @@ BenchResult Measure(const char* name, RunFn&& run, ExecutedFn&& executed) {
 
 // --- Pure scheduling: self-rescheduling chains of small-delay events -------
 // This is the simulator's hot path (MemCtrl completions, NoC hops): a small
-// callback scheduled a few cycles ahead. The functor is 24 bytes, so the
-// calendar queue keeps it in the bucket's inline storage.
+// callback scheduled a few cycles ahead. The functor is 24 bytes and
+// trivially copyable, so it fits one event node.
 
 template <typename Queue>
 struct ChainEvent {
@@ -141,7 +141,7 @@ BenchResult ChainBench(const char* name, std::uint64_t events) {
       q.ScheduleAfter(1 + c % 13, ChainEvent<Queue>{&q, &remaining, 1 + c % 13});
     }
   };
-  remaining = events / 10;  // warmup: grow buckets/pools off the clock
+  remaining = events / 10;  // warmup: grow the node pool off the clock
   seed();
   q.RunUntilEmpty();
   remaining = events;

@@ -18,7 +18,7 @@ are robust to runner speed:
 
 Usage: check_substrate_perf.py BENCH_substrate.json
            [--min-speedup=2.0] [--max-allocs-per-event=0.01]
-           [--max-machine-allocs-per-event=0.01]
+           [--max-machine-allocs-per-event=0.002]
            [--max-lower-allocs-per-instr=0.05]
 Exit: 0 within floors, 1 floor violated, 2 usage/parse errors (a report
 that lacks a gated row or key is a usage error).
@@ -36,7 +36,7 @@ def main(argv):
     path = None
     min_speedup = 2.0
     max_allocs = 0.01
-    max_machine_allocs = 0.01
+    max_machine_allocs = 0.002
     max_lower_allocs = 0.05
     for arg in argv[1:]:
         if arg.startswith("--min-speedup="):

@@ -90,6 +90,9 @@ bool Core::DepsDone(const Instr& in, sim::Cycle* ready_at) const {
 void Core::WaitOnPendingDeps(std::uint32_t idx, const Instr& in) {
   for (std::uint32_t k = 0; k < 2; ++k) {
     std::int32_t dep = k == 0 ? in.dep0 : in.dep1;
+    // When both deps name one slot the waiter is linked once: a second node
+    // would wake it twice, and a sync op would be issued twice.
+    if (k == 1 && dep == in.dep0) continue;
     if (dep < 0 || done_[static_cast<std::size_t>(dep)] != sim::kNeverCycle) continue;
     auto d = static_cast<std::size_t>(dep);
     std::uint32_t node = idx * 2 + k;

@@ -10,8 +10,8 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/sampler.hpp"
-#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 

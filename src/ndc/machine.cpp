@@ -360,10 +360,7 @@ void Machine::SendLocal(sim::NodeId from, sim::NodeId to, int bytes,
                         std::span<const sim::LinkId> route, std::uint64_t tag, int kind,
                         noc::Network::DeliverFn fn, std::uint64_t rtok) {
   if (from == to) {
-    eq_.ScheduleAfter(cfg_.noc.router_pipeline, [fn = std::move(fn)] {
-      noc::Packet p;
-      fn(p, 0);
-    });
+    net_->DeliverLocal(cfg_.noc.router_pipeline, std::move(fn));
     return;
   }
   noc::Packet p;

@@ -21,8 +21,8 @@
 #include "obs/obs.hpp"
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
-#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/stats.hpp"
 #include "sync/sync.hpp"
 

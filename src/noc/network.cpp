@@ -80,6 +80,16 @@ std::uint64_t Network::Send(Packet p, DeliverFn on_deliver) {
   return p.id;
 }
 
+void Network::DeliverLocal(sim::Cycle delay, DeliverFn fn) {
+  Flight* f = AcquireFlight();
+  f->packet = Packet{};
+  f->deliver = std::move(fn);
+  eq_.ScheduleAfter(delay, [this, f] {
+    f->deliver(f->packet, 0);
+    ReleaseFlight(f);
+  });
+}
+
 void Network::ProcessHop(Flight* f, bool run_hook) {
   sim::Cycle now = eq_.now();
   Packet& p = f->packet;

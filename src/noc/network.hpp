@@ -11,8 +11,8 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/sampler.hpp"
-#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/stats.hpp"
 
 namespace ndc::noc {
@@ -94,6 +94,12 @@ class Network {
                                                            xy_begin_[pair + 1] - xy_begin_[pair]);
   }
 
+  /// Runs `fn` with an empty packet `delay` cycles from now, without
+  /// crossing the network: a same-node message. Nothing is counted as sent
+  /// or delivered; the completion waits in a pooled flight, so the event
+  /// itself captures only {this, Flight*}.
+  void DeliverLocal(sim::Cycle delay, DeliverFn fn);
+
   /// Resumes a packet previously held by the hop hook. No-op if the id is
   /// unknown (e.g. already squashed).
   void Release(std::uint64_t packet_id);
@@ -150,10 +156,8 @@ class Network {
 
  private:
   /// Pooled per-packet in-flight state. Hop events capture only {this,
-  /// Flight*} (which fits a SmallCallback's inline buffer), so a hop
-  /// schedules nothing on the heap; the seed implementation instead moved
-  /// the whole Packet + DeliverFn into a fresh std::function per hop.
-  /// Flights are recycled through a free list.
+  /// Flight*}, which fits an event node, so a hop schedules nothing on the
+  /// heap. Flights are recycled through a free list.
   struct Flight {
     Packet packet;
     DeliverFn deliver;

@@ -28,69 +28,56 @@ Cycle EventQueue::NextEventCycle() const {
   return wheel_next;
 }
 
-void EventQueue::StartDrain(Cycle c) {
+std::uint64_t EventQueue::DrainCycle(Cycle c) {
   assert(c != kNeverCycle && c >= now_);
   now_ = c;
-  // Promote this cycle's overflow entries in schedule order.
-  while (!far_.empty() && far_.front().when == c) {
-    std::pop_heap(far_.begin(), far_.end(), FarLater{});
-    std::uint32_t slot = far_.back().slot;
-    far_.pop_back();
-    far_cur_.push_back(std::move(far_slots_[slot]));
-    far_free_.push_back(slot);
+  const std::size_t b = static_cast<std::size_t>(c) & kWheelMask;
+  Bucket& bucket = wheel_[b];
+  // Splice this cycle's overflow nodes, in schedule order, ahead of the
+  // bucket's own (younger) entries.
+  if (!far_.empty() && far_.front().when == c) {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    do {
+      std::pop_heap(far_.begin(), far_.end(), FarLater{});
+      std::uint32_t n = far_.back().node;
+      far_.pop_back();
+      if (tail == kNil) {
+        head = n;
+      } else {
+        nodes_[tail].next = n;
+      }
+      tail = n;
+    } while (!far_.empty() && far_.front().when == c);
+    nodes_[tail].next = bucket.head;
+    if (bucket.tail == kNil) bucket.tail = tail;
+    bucket.head = head;
+    occupied_[b >> 6] |= 1ull << (b & 63);
   }
-  far_idx_ = 0;
-  cur_bucket_ = static_cast<std::size_t>(c) & kWheelMask;
-  wheel_idx_ = 0;
-  draining_ = true;
-}
-
-void EventQueue::ExecuteOne() {
-  // Move the callback out before invoking it: the invocation may append to
-  // the very bucket we are draining (ScheduleAt(now)) and reallocate it.
-  SmallCallback cb;
-  if (far_idx_ < far_cur_.size()) {
-    cb = std::move(far_cur_[far_idx_++]);
-  } else {
-    cb = std::move(wheel_[cur_bucket_][wheel_idx_++]);
+  // Events may append to this very bucket (ScheduleAt(now)) and grow the
+  // pool, so each node is unlinked, copied out and freed before it runs.
+  const std::uint64_t executed_before = executed_;
+  while (bucket.head != kNil) {
+    std::uint32_t i = bucket.head;
+    Node node = nodes_[i];
+    bucket.head = node.next;
+    if (bucket.head == kNil) bucket.tail = kNil;
+    nodes_[i].next = free_;
+    free_ = i;
+    --pending_;
+    ++executed_;
+    node.invoke(node.capture);
   }
-  --pending_;
-  ++executed_;
-  cb();
-  if (far_idx_ >= far_cur_.size() && wheel_idx_ >= wheel_[cur_bucket_].size()) {
-    far_cur_.clear();
-    far_idx_ = 0;
-    wheel_[cur_bucket_].clear();  // keeps capacity for reuse
-    wheel_idx_ = 0;
-    occupied_[cur_bucket_ >> 6] &= ~(1ull << (cur_bucket_ & 63));
-    draining_ = false;
-  }
-}
-
-bool EventQueue::Step() {
-  if (!draining_) {
-    if (pending_ == 0) return false;
-    StartDrain(NextEventCycle());
-  }
-  ExecuteOne();
-  return true;
+  occupied_[b >> 6] &= ~(1ull << (b & 63));
+  return executed_ - executed_before;
 }
 
 std::uint64_t EventQueue::RunUntilEmpty(Cycle limit) {
   std::uint64_t n = 0;
-  for (;;) {
-    if (!draining_) {
-      if (pending_ == 0) break;
-      Cycle c = NextEventCycle();
-      if (c > limit) break;
-      StartDrain(c);
-    } else if (now_ > limit) {
-      break;  // mid-drain entries (via Step) beyond the window stay pending
-    }
-    while (draining_) {
-      ExecuteOne();
-      ++n;
-    }
+  while (pending_ != 0) {
+    Cycle c = NextEventCycle();
+    if (c > limit) break;
+    n += DrainCycle(c);
   }
   if (limit != kNeverCycle && limit > now_) now_ = limit;
   return n;

@@ -1,12 +1,15 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/callback.hpp"
 #include "sim/types.hpp"
 
 namespace ndc::sim {
@@ -18,32 +21,49 @@ namespace ndc::sim {
 /// bit-reproducible. This ordering contract is load-bearing: every figure's
 /// stdout is goldened against it (tests/goldens/).
 ///
-/// Internally this is a two-level calendar queue tuned for the simulator's
-/// schedule profile (almost every event is `ScheduleAfter` with a delay of a
-/// few to a few hundred cycles):
+/// Every pending event is one 64-byte node — an invoke pointer, a `next`
+/// index and up to kCaptureBytes of capture — drawn from a pool recycled
+/// through a free list, so once the pool has grown scheduling allocates
+/// nothing. The nodes are organised as a two-level calendar queue tuned for
+/// the simulator's schedule profile (almost every event is `ScheduleAfter`
+/// with a delay of a few to a few hundred cycles):
 ///
 ///  - a wheel of kWheelSize (256) per-cycle buckets covers every event
-///    within [now, now + kWheelSize); insertion is an O(1) bucket append,
-///    and a four-word occupancy bitmap finds the next non-empty cycle
-///    without a heap sift. The wheel is small on purpose: a run retires
-///    about a dozen events per cycle, so a wheel of thousands of buckets is
-///    evicted from cache before it wraps and every append misses, while 256
-///    buckets stay warm (DESIGN.md §10 has the measurements);
-///  - events at or beyond now + kWheelSize land in an overflow min-heap
-///    ordered by (cycle, schedule sequence) and are promoted when the clock
-///    reaches them. The heap holds small keys; the callbacks sit in a slot
-///    pool recycled through a free list, so once both have grown a far
-///    event allocates nothing. Overflow entries for a cycle are always
-///    older (scheduled earlier) than any wheel entry for the same cycle —
-///    `now` is monotonic, so once a cycle is inside the wheel window it can
-///    never be scheduled into the overflow again — which is what keeps the
-///    FIFO tie-break exact across the two levels;
-///  - callbacks are stored in SmallCallback slots: small captures live
-///    inline in the bucket, large ones in a pooled arena, so the hot
-///    scheduling path performs no heap allocation.
+///    within [now, now + kWheelSize). A bucket is an intrusive FIFO list of
+///    nodes (a head and a tail index), so insertion is one node write and a
+///    tail link, and a four-word occupancy bitmap finds the next non-empty
+///    cycle without a heap sift. The wheel is small on purpose: a run
+///    retires about a dozen events per cycle, so a wheel of thousands of
+///    buckets is evicted from cache before it wraps, while 256 buckets
+///    (2 KB of indices) stay warm (DESIGN.md §10 has the measurements);
+///  - events at or beyond now + kWheelSize go to an overflow min-heap of
+///    (cycle, schedule sequence, node) keys. When the clock reaches a
+///    cycle, its overflow nodes are spliced, in sequence order, ahead of
+///    the bucket's own list. Overflow entries for a cycle are always older
+///    (scheduled earlier) than any wheel entry for the same cycle — `now` is
+///    monotonic, so once a cycle is inside the wheel window it can never be
+///    scheduled into the overflow again — which is what keeps the FIFO
+///    tie-break exact across the two levels.
+///
+/// Capture contract: a scheduled callable must be trivially copyable, at
+/// most kCaptureBytes and at most kCaptureAlign-aligned (`Schedulable<F>`).
+/// Draining an event is then a 64-byte copy of its node, a free-list push
+/// and one indirect call — no relocate or destroy calls. A completion that
+/// owns more state parks it elsewhere and schedules a pointer to it.
 class EventQueue {
  public:
-  EventQueue() : wheel_(kWheelSize), occupied_(kWheelSize / 64, 0) {}
+  static constexpr std::size_t kCaptureBytes = 48;
+  static constexpr std::size_t kCaptureAlign = 16;
+
+  /// True when a callable of type F can be scheduled: invocable as void(),
+  /// trivially copyable and small enough to live in an event node.
+  template <typename F, typename Fn = std::decay_t<F>>
+  static constexpr bool Schedulable = std::is_invocable_r_v<void, Fn&> &&
+                                      std::is_trivially_copyable_v<Fn> &&
+                                      sizeof(Fn) <= kCaptureBytes &&
+                                      alignof(Fn) <= kCaptureAlign;
+
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -51,24 +71,31 @@ class EventQueue {
   /// `when` must be >= now().
   template <typename F>
   void ScheduleAt(Cycle when, F&& cb) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_trivially_copyable_v<Fn>,
+                  "an event's capture must be trivially copyable");
+    static_assert(sizeof(Fn) <= kCaptureBytes && alignof(Fn) <= kCaptureAlign,
+                  "an event's capture must fit an event node");
+    static_assert(Schedulable<Fn>, "an event must be callable as void()");
     assert(when >= now_ && "cannot schedule an event in the past");
-    SmallCallback c = SmallCallback::Make(arena_, std::forward<F>(cb));
+    std::uint32_t n = AcquireNode();
+    Node& node = nodes_[n];
+    ::new (static_cast<void*>(node.capture)) Fn(std::forward<F>(cb));
+    node.invoke = &InvokeImpl<Fn>;
+    node.next = kNil;
     ++pending_;
     if (when - now_ < kWheelSize) {
       auto b = static_cast<std::size_t>(when) & kWheelMask;
-      wheel_[b].push_back(std::move(c));
-      occupied_[b >> 6] |= 1ull << (b & 63);
-    } else {
-      std::uint32_t slot;
-      if (far_free_.empty()) {
-        slot = static_cast<std::uint32_t>(far_slots_.size());
-        far_slots_.push_back(std::move(c));
+      Bucket& bucket = wheel_[b];
+      if (bucket.tail == kNil) {
+        bucket.head = n;
+        occupied_[b >> 6] |= 1ull << (b & 63);
       } else {
-        slot = far_free_.back();
-        far_free_.pop_back();
-        far_slots_[slot] = std::move(c);
+        nodes_[bucket.tail].next = n;
       }
-      far_.push_back(FarKey{when, far_seq_++, slot});
+      bucket.tail = n;
+    } else {
+      far_.push_back(FarKey{when, far_seq_++, n});
       std::push_heap(far_.begin(), far_.end(), FarLater{});
     }
   }
@@ -90,9 +117,6 @@ class EventQueue {
   /// After an unbounded run, now() is the cycle of the last executed event.
   std::uint64_t RunUntilEmpty(Cycle limit = kNeverCycle);
 
-  /// Runs at most one event; returns false if the queue was empty.
-  bool Step();
-
   /// Current simulated time.
   Cycle now() const { return now_; }
 
@@ -106,13 +130,29 @@ class EventQueue {
   static constexpr int kWheelBits = 8;
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One pending event: its capture, the thunk that invokes it, and the
+  /// index of the next node in its bucket list or the free list.
+  struct alignas(64) Node {
+    alignas(kCaptureAlign) unsigned char capture[kCaptureBytes];
+    void (*invoke)(void*);
+    std::uint32_t next;
+  };
+  static_assert(sizeof(Node) == 64);
+
+  /// A wheel bucket: an intrusive FIFO list of nodes (kNil when empty).
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
   /// An overflow entry: its cycle, its schedule sequence (the FIFO
-  /// tie-break among entries of one cycle) and its callback's slot.
+  /// tie-break among entries of one cycle) and its node.
   struct FarKey {
     Cycle when;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t node;
   };
   /// Heap order: the earliest (cycle, sequence) on top.
   struct FarLater {
@@ -121,30 +161,33 @@ class EventQueue {
     }
   };
 
+  template <typename Fn>
+  static void InvokeImpl(void* p) {
+    (*static_cast<Fn*>(p))();
+  }
+
+  std::uint32_t AcquireNode() {
+    if (free_ == kNil) {
+      nodes_.emplace_back();
+      return static_cast<std::uint32_t>(nodes_.size() - 1);
+    }
+    std::uint32_t n = free_;
+    free_ = nodes_[n].next;
+    return n;
+  }
+
   /// Cycle of the earliest pending event; kNeverCycle when empty.
   Cycle NextEventCycle() const;
-  /// Positions the drain cursor on cycle `c` (advancing now_ to it).
-  void StartDrain(Cycle c);
-  /// Executes one callback from the current drain position.
-  void ExecuteOne();
+  /// Advances now_ to cycle `c` and runs every event of it, including the
+  /// ones its events schedule for `c`. Returns the number executed.
+  std::uint64_t DrainCycle(Cycle c);
 
-  // The arena must outlive every stored SmallCallback (their destructors
-  // return pooled blocks to it), so it is declared first.
-  CallbackArena arena_;
-  std::vector<std::vector<SmallCallback>> wheel_;  ///< kWheelSize per-cycle buckets
-  std::vector<std::uint64_t> occupied_;            ///< wheel occupancy bitmap
-  std::vector<FarKey> far_;                 ///< min-heap of events beyond the wheel
-  std::vector<SmallCallback> far_slots_;    ///< their callbacks, by slot
-  std::vector<std::uint32_t> far_free_;     ///< free far_slots_ entries
+  std::vector<Node> nodes_;    ///< the node pool; lists link by index
+  std::uint32_t free_ = kNil;  ///< head of the free-node list
+  std::array<Bucket, kWheelSize> wheel_{};  ///< per-cycle FIFO lists
+  std::array<std::uint64_t, kWheelSize / 64> occupied_{};  ///< wheel occupancy bitmap
+  std::vector<FarKey> far_;   ///< min-heap of events beyond the wheel
   std::uint64_t far_seq_ = 0;
-
-  // Drain cursor: the cycle currently executing. Promoted overflow entries
-  // (always older) run before the wheel bucket's entries.
-  bool draining_ = false;
-  std::size_t cur_bucket_ = 0;
-  std::vector<SmallCallback> far_cur_;
-  std::size_t far_idx_ = 0;
-  std::size_t wheel_idx_ = 0;
 
   Cycle now_ = 0;
   std::size_t pending_ = 0;

@@ -32,6 +32,8 @@ class LegacyEventQueue {
 
   void ScheduleAfter(Cycle delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
 
+  /// Same clock contract as EventQueue::RunUntilEmpty: a bounded run
+  /// leaves now() at `limit`.
   std::uint64_t RunUntilEmpty(Cycle limit = kNeverCycle) {
     std::uint64_t n = 0;
     while (!heap_.empty()) {
@@ -39,6 +41,7 @@ class LegacyEventQueue {
       Step();
       ++n;
     }
+    if (limit != kNeverCycle && limit > now_) now_ = limit;
     return n;
   }
 

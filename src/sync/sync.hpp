@@ -8,8 +8,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 #include "sync/ops.hpp"

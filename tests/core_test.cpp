@@ -141,6 +141,20 @@ TEST_F(CoreFixture, StoreWithBothDepsOnOnePendingSlotWakesOnce) {
   EXPECT_EQ(core->done_cycle(1), 61u);
 }
 
+TEST_F(CoreFixture, SyncWithBothDepsOnOnePendingSlotIssuesOnce) {
+  port.latency = 60;
+  Trace t;
+  t.push_back(MakeLoad(0));
+  Instr sy = MakeSync(sync::SyncOp::kAtomicAdd, 8192, 1, /*dep=*/0);
+  sy.dep1 = 0;  // dep0 == dep1: the sync op waits on the load twice
+  t.push_back(sy);
+  Run(std::move(t));
+  EXPECT_TRUE(core->finished());
+  ASSERT_EQ(port.issued_syncs.size(), 1u);
+  EXPECT_EQ(port.issued_syncs[0].first, 60u);
+  EXPECT_EQ(port.issued_syncs[0].second, 1u);
+}
+
 TEST_F(CoreFixture, WaitersOnOneSlotWakeInDispatchOrder) {
   port.latency = 60;
   Trace t;

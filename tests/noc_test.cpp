@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 
@@ -265,6 +266,32 @@ TEST(Network, LocalDeliveryPaysRouterPipeline) {
   net.Send(p, [&](const Packet&, sim::Cycle) { delivered = eq.now(); });
   eq.RunUntilEmpty();
   EXPECT_EQ(delivered, 3u);
+}
+
+TEST(Network, DeliverLocalRunsAfterTheDelayAndCountsNothing) {
+  // A completion wider than an event node's capture waits in a pooled
+  // flight; the same-node path is not a packet, so no counter moves.
+  sim::EventQueue eq;
+  Mesh m(5, 5);
+  Network net(m, eq);
+  struct Seen {
+    std::uint64_t sum = 0;
+    sim::Cycle at = 0;
+    sim::NodeId src = -1;
+  } seen;
+  std::array<std::uint64_t, 5> words{1, 2, 3, 4, 5};  // 56 bytes with two pointers
+  net.DeliverLocal(3, [&seen, &eq, words](const Packet& p, sim::Cycle) {
+    for (std::uint64_t w : words) seen.sum += w;
+    seen.at = eq.now();
+    seen.src = p.src;
+  });
+  eq.RunUntilEmpty();
+  EXPECT_EQ(seen.sum, 15u);
+  EXPECT_EQ(seen.at, 3u);
+  EXPECT_EQ(seen.src, 0);  // an empty packet
+  EXPECT_EQ(net.sent_count(), 0u);
+  EXPECT_EQ(net.delivered_count(), 0u);
+  EXPECT_EQ(net.stats().Get("noc.packets"), 0u);
 }
 
 TEST(Network, HoldAndReleaseResumesJourney) {

@@ -42,9 +42,9 @@ TEST(EventQueue, EventsMayScheduleMoreEvents) {
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
-    if (fired < 5) eq.ScheduleAfter(3, chain);
+    if (fired < 5) eq.ScheduleAfter(3, [&chain] { chain(); });
   };
-  eq.ScheduleAt(0, chain);
+  eq.ScheduleAt(0, [&chain] { chain(); });
   eq.RunUntilEmpty();
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(eq.now(), 12u);
@@ -58,14 +58,6 @@ TEST(EventQueue, RunUntilLimitStopsEarly) {
   eq.RunUntilEmpty(10);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(eq.pending(), 1u);
-}
-
-TEST(EventQueue, StepReturnsFalseWhenEmpty) {
-  EventQueue eq;
-  EXPECT_FALSE(eq.Step());
-  eq.ScheduleAt(1, [] {});
-  EXPECT_TRUE(eq.Step());
-  EXPECT_FALSE(eq.Step());
 }
 
 TEST(EventQueue, BoundedRunAdvancesClockToLimit) {
@@ -128,23 +120,48 @@ TEST(EventQueue, FarEventsRunBeforeSameCycleWheelEvents) {
   EXPECT_EQ(eq.now(), 5000u);
 }
 
-TEST(EventQueue, CallbacksOfAllStorageClassesExecute) {
-  // Covers the three SmallCallback homes: inline buffer (<= 64 B), pooled
-  // arena block (<= 256 B), and the plain-heap fallback.
+// A capture of exactly the node's 48 bytes: a pointer and five words.
+struct WideCapture {
+  std::vector<std::array<std::uint64_t, 5>>* out;
+  std::array<std::uint64_t, 5> words;
+  void operator()() const { out->push_back(words); }
+};
+static_assert(sizeof(WideCapture) == EventQueue::kCaptureBytes);
+static_assert(EventQueue::Schedulable<WideCapture>);
+
+// One word too many, and captures that are not trivially copyable, are
+// compile errors rather than a slower path.
+struct TooWideCapture {
+  std::vector<std::array<std::uint64_t, 6>>* out;
+  std::array<std::uint64_t, 6> words;
+  void operator()() const { out->push_back(words); }
+};
+static_assert(sizeof(TooWideCapture) == 56);
+static_assert(!EventQueue::Schedulable<TooWideCapture>);
+struct FunctionCapture {
+  std::function<void()> fn;
+  void operator()() const { fn(); }
+};
+static_assert(!EventQueue::Schedulable<FunctionCapture>);
+static_assert(!EventQueue::Schedulable<std::function<void()>>);
+
+TEST(EventQueue, FortyEightByteCapturesArriveIntact) {
+  // Cycles 0 .. ~3800 put most entries in the overflow heap; the second
+  // round reuses the first round's recycled nodes.
   EventQueue eq;
-  std::uint64_t sum = 0;
-  std::array<std::uint64_t, 4> small{1, 2, 3, 4};
-  std::array<std::uint64_t, 16> medium{};
-  medium[0] = 5;
-  std::array<std::uint64_t, 64> large{};
-  large[0] = 6;
-  eq.ScheduleAt(1, [&sum, small] {
-    for (auto v : small) sum += v;
-  });
-  eq.ScheduleAt(2, [&sum, medium] { sum += medium[0]; });
-  eq.ScheduleAt(3, [&sum, large] { sum += large[0]; });
-  eq.RunUntilEmpty();
-  EXPECT_EQ(sum, 21u);
+  std::vector<std::array<std::uint64_t, 5>> got;
+  std::vector<std::array<std::uint64_t, 5>> want;
+  for (int round = 0; round < 2; ++round) {
+    Cycle base = eq.now();
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      std::array<std::uint64_t, 5> w{i, ~i, i * 0x9e3779b97f4a7c15ull, 1ull << (i % 64),
+                                     0xfeedfacecafebeefull ^ (i + 40 * round)};
+      want.push_back(w);
+      eq.ScheduleAt(base + i * 97, WideCapture{&got, w});
+    }
+    eq.RunUntilEmpty();
+  }
+  EXPECT_EQ(got, want);
 }
 
 // Runs a schedule whose delays straddle the wheel horizon — 255/256/257 for
@@ -230,6 +247,48 @@ TEST(EventQueue, MatchesLegacyQueueOnRandomizedReentrantSchedules) {
   std::vector<std::uint64_t> calendar = ExecutionOrder<EventQueue>();
   std::vector<std::uint64_t> legacy = ExecutionOrder<LegacyEventQueue>();
   ASSERT_GT(calendar.size(), 500u);  // reentrant children actually spawned
+  EXPECT_EQ(calendar, legacy);
+}
+
+// The randomized reentrant schedule of ExecutionOrder, run in bounded
+// windows: between windows the driver schedules more events from outside
+// (relative to the clock a window leaves behind). Records (now(), id) for
+// every event and now() after every window, so both the order and the
+// clock contract of bounded runs are compared.
+template <typename Queue>
+std::vector<std::pair<Cycle, std::uint64_t>> WindowedExecutionOrder() {
+  constexpr std::uint64_t kWindowEnd = ~std::uint64_t{0};
+  Queue q;
+  std::vector<std::pair<Cycle, std::uint64_t>> order;
+  std::uint64_t next_id = 0;
+  std::function<void(std::uint64_t)> body = [&](std::uint64_t id) {
+    order.push_back({q.now(), id});
+    if (id % 3 == 0 && next_id < 4000) {
+      std::uint64_t far_child = next_id++;
+      q.ScheduleAfter((id * 37 + 11) % 9000, [&body, far_child] { body(far_child); });
+      std::uint64_t near_child = next_id++;
+      q.ScheduleAfter(id % 5, [&body, near_child] { body(near_child); });
+    }
+  };
+  Rng rng(2024);
+  for (int window = 0; window < 300; ++window) {
+    for (std::uint64_t k = rng.NextBelow(4); k > 0; --k) {
+      std::uint64_t id = next_id++;
+      q.ScheduleAfter(rng.NextBelow(3000), [&body, id] { body(id); });
+    }
+    // Windows of 0 .. 599 cycles; a zero-length one runs only now()'s events.
+    q.RunUntilEmpty(q.now() + rng.NextBelow(600));
+    order.push_back({q.now(), kWindowEnd});
+  }
+  q.RunUntilEmpty();
+  order.push_back({q.now(), kWindowEnd});
+  return order;
+}
+
+TEST(EventQueue, MatchesLegacyQueueInBoundedWindows) {
+  auto calendar = WindowedExecutionOrder<EventQueue>();
+  auto legacy = WindowedExecutionOrder<LegacyEventQueue>();
+  ASSERT_GT(calendar.size(), 1000u);
   EXPECT_EQ(calendar, legacy);
 }
 
